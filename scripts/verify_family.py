@@ -12,7 +12,6 @@ import numpy as np
 from berry_holonomy import (
     COMPONENT_KEYS,
     TruncatedSpace,
-    UnitaryCache,
     bch_identity_report,
     connection_closed,
     connection_numeric,
@@ -35,7 +34,6 @@ def main() -> None:
     args = ap.parse_args()
 
     space = TruncatedSpace(args.dim)
-    cache = UnitaryCache(space)
     plan = DifferentiationPlan(h=args.step)
     points = grid_points(args.grid)
     print(f"grid: {len(points)} points, D = {args.dim}, h = {args.step:g}")
@@ -47,14 +45,14 @@ def main() -> None:
         wedge_worst = 0.0
         for p in points:
             closed = connection_closed(p, m)
-            oracle = connection_numeric(p, m, space, plan, cache)
+            oracle = connection_numeric(p, m, space, plan)
             conn_worst = max(
                 conn_worst,
                 float(np.abs(closed.a_lambda - oracle.a_lambda).max()),
                 float(np.abs(closed.a_mu - oracle.a_mu).max()),
             )
             cc = curvature_closed(p, m)
-            cn = curvature_numeric(p, m, space, plan, cache)
+            cn = curvature_numeric(p, m, space, plan)
             for k in COMPONENT_KEYS:
                 curv_worst[k] = max(
                     curv_worst[k],

@@ -14,7 +14,6 @@ from .connection import (
     berry_phase_diagonal,
     connection_closed,
     contract_one_form,
-    derivative_identity_report,
 )
 from .curvature import (
     COMPONENT_KEYS,
@@ -25,7 +24,6 @@ from .curvature import (
     basis_matrices,
     contract_two_form,
     curvature_closed,
-    curvature_from_components,
     curvature_span_dimension,
     f_squared,
     f_squared_from_wedge,
@@ -70,11 +68,12 @@ from .numeric import (
     DifferentiationPlan,
     GeneralizedOracleConnection,
     OracleConnection,
-    UnitaryCache,
     connection_numeric,
     convergence_report,
+    curvature_from_components,
     curvature_numeric,
     default_dim,
+    derivative_identity_report,
     global_form_check,
     wirtinger_derivative,
 )

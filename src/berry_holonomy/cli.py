@@ -16,13 +16,16 @@ between identical runs (timestamps, runtime) lives under "meta"; the
 "payload" object is byte-stable for byte-for-byte comparison.
 
 Exit codes: 0 success (all checks passed where applicable), 1 tolerance
-breach, 2 configuration error, 3 non-convergence or non-finite result.
+breach, 2 configuration error (including non-finite inputs), 3 numerical
+failure (overflow, a linear-algebra routine that did not converge, a closure
+that did not stabilize, or a non-finite result).
 
 The environment variable BERRY_HOLONOMY_THREADS caps grid parallelism.
 """
 from __future__ import annotations
 
 import argparse
+import cmath
 import datetime
 import json
 import math
@@ -36,11 +39,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .connection import (
-    berry_phase_diagonal,
-    connection_closed,
-    derivative_identity_report,
-)
+from .connection import berry_phase_diagonal, connection_closed
 from .curvature import (
     COMPONENT_KEYS,
     COMPONENT_NAMES,
@@ -61,9 +60,9 @@ from .holonomy import (
 from .lie import ClosureNotStabilized
 from .numeric import (
     DifferentiationPlan,
-    UnitaryCache,
     connection_numeric,
     curvature_numeric,
+    derivative_identity_report,
 )
 from .reports import complex_pair, dump_json, matrix_payload
 
@@ -77,10 +76,15 @@ def parse_complex(text: str) -> complex:
     s = text.strip().replace(" ", "")
     if not s:
         raise ConfigError("empty complex literal")
+    if s.endswith("i"):
+        s = s[:-1] + "j"
     try:
-        return complex(s.replace("i", "j"))
+        z = complex(s)
     except ValueError:
         raise ConfigError(f"cannot parse complex value {text!r}") from None
+    if not cmath.isfinite(z):
+        raise ConfigError(f"complex value {text!r} is not finite")
+    return z
 
 
 DEFAULT_MAGNITUDES = (0.0, 0.25, 0.5, 0.75, 1.0)
@@ -345,7 +349,6 @@ def _verify_sections(cfg: RunConfig) -> Tuple[dict, bool]:
     m = cfg.m
     dim = cfg.resolved_dim(128)
     space = TruncatedSpace(dim)
-    cache = UnitaryCache(space)
     plan = DifferentiationPlan(h=cfg.h)
     points = grid_points(cfg.grid or "small")
     threads = thread_count(cfg)
@@ -353,18 +356,21 @@ def _verify_sections(cfg: RunConfig) -> Tuple[dict, bool]:
 
     tol = lambda default: cfg.tolerance if cfg.tolerance is not None else default
 
-    def conn_dev(p: ParameterPoint) -> float:
+    def conn_dev(p: ParameterPoint) -> Tuple[float, float]:
         closed = connection_closed(p, m)
-        oracle = connection_numeric(p, m, space, plan, cache)
-        return max(
+        oracle = connection_numeric(p, m, space, plan)
+        dev = max(
             float(np.abs(closed.a_lambda - oracle.a_lambda).max()),
             float(np.abs(closed.a_mu - oracle.a_mu).max()),
         )
+        return dev, oracle.estimated_error
 
-    devs = _map_ordered(conn_dev, points, threads)
+    conn_results = _map_ordered(conn_dev, points, threads)
+    devs = [r[0] for r in conn_results]
     t = tol(1e-6)
     sections["connection"] = {
         "max_dev": max(devs),
+        "max_estimated_error": max(r[1] for r in conn_results),
         "tolerance": t,
         "points": len(points),
         "passed": bool(max(devs) < t),
@@ -372,7 +378,7 @@ def _verify_sections(cfg: RunConfig) -> Tuple[dict, bool]:
 
     def curv_dev(p: ParameterPoint) -> Tuple[float, Dict[str, float], float, float]:
         closed = curvature_closed(p, m)
-        oracle = curvature_numeric(p, m, space, plan, cache)
+        oracle = curvature_numeric(p, m, space, plan)
         per = {
             COMPONENT_NAMES[k]: float(
                 np.abs(closed.components[k] - oracle.components[k]).max()
@@ -644,6 +650,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
     except ClosureNotStabilized as exc:
         print(str(exc), file=sys.stderr)
+        return 3
+    # LinAlgError subclasses ValueError, so it must be caught first
+    except (OverflowError, np.linalg.LinAlgError) as exc:
+        print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except ValueError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)

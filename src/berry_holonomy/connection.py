@@ -21,7 +21,6 @@ All scalar profiles are even or odd in |mu| and analytic at mu = 0; below
 """
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Protocol
@@ -29,7 +28,6 @@ from typing import Protocol
 import numpy as np
 
 from .family import ParameterPoint
-from .reports import IdentityReport
 
 SERIES_SWITCH = 1e-4
 
@@ -185,68 +183,3 @@ def berry_phase_diagonal(loop, m: int) -> np.ndarray:
         a = contract_one_form(connection_closed(p, m), dlam, dmu)
         acc += np.diag(a).imag
     return acc / n
-
-
-def derivative_identity_report(z: complex, h: float = 1e-5) -> IdentityReport:
-    """Finite-difference check of three Wirtinger-derivative identities of
-    the scalar profile t(z) = z tanh|z| / |z|:
-
-      d_z t           = (1 - tanh^2|z| + tanh|z|/|z|) / 2
-      d_z log(1-t tb) = -conj(z) tanh|z| / |z|   with tb = conj(t)
-      d_z conj(t)     = (conj(z)^2 / (2|z|^2)) (1 - tanh^2|z| - tanh|z|/|z|)
-
-    Central differences in the real and imaginary directions build d_z;
-    the reported deviations are absolute.
-    """
-    if not (1e-7 <= h <= 1e-3):
-        raise ValueError("step size out of the supported range")
-    if abs(z) < 10.0 * h:
-        raise ValueError("too close to removable singularity for this step")
-
-    def t_of(w: complex) -> complex:
-        return w * tanhc(abs(w))
-
-    def wirt(f, w):
-        fr = (f(w + h) - f(w - h)) / (2.0 * h)
-        fi = (f(w + 1j * h) - f(w - 1j * h)) / (2.0 * h)
-        return 0.5 * (fr - 1j * fi)
-
-    x = abs(z)
-    th = math.tanh(x)
-    toverx = tanhc(x)
-
-    d1_num = wirt(t_of, z)
-    d1_ref = 0.5 * (1.0 - th * th + toverx)
-    dev1 = abs(d1_num - d1_ref)
-
-    def logf(w: complex) -> complex:
-        tw = t_of(w)
-        return cmath.log(1.0 - tw * np.conj(tw))
-
-    d2_num = wirt(logf, z)
-    d2_ref = -np.conj(z) * toverx
-    dev2 = abs(d2_num - d2_ref)
-
-    def tbar(w: complex) -> complex:
-        return np.conj(t_of(w))
-
-    d3_num = wirt(tbar, z)
-    d3_ref = (np.conj(z) ** 2 / (2.0 * x * x)) * (1.0 - th * th - toverx)
-    dev3 = abs(d3_num - d3_ref)
-
-    worst = max(dev1, dev2, dev3)
-    return IdentityReport(
-        interior_dev=worst,
-        boundary_dev=worst,
-        D=0,
-        buffer=0,
-        label="derivative-identities",
-        extras={
-            "z": [z.real, z.imag],
-            "h": h,
-            "identity_1_dev": dev1,
-            "identity_2_dev": dev2,
-            "identity_3_dev": dev3,
-            "identity_2_rhs": [d2_ref.real, d2_ref.imag],
-        },
-    )

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -115,58 +115,6 @@ def curvature_closed(p: ParameterPoint, m: int) -> CurvatureForm:
         "mlb": -(-m * (f_mb / 4.0) * em1 * b.EK + m * (c / 4.0) * (1.0 + cs_x) * b.KF),
         "mmb": -((m / 2.0) * cs_x * b.K + (m * (m - 1) / 4.0) * cs_x * b.L),
         "lbmb": -(-m * (f_m / 4.0) * (1.0 + cs_x) * b.EK + m * (f_m2 * c / 4.0) * b.KF),
-    }
-    return CurvatureForm(components=comp, point=p, m=m)
-
-
-def curvature_from_components(
-    a_field: Callable[[ParameterPoint], Tuple[np.ndarray, np.ndarray]],
-    p: ParameterPoint,
-    h: float,
-) -> CurvatureForm:
-    """F = dA + A ^ A assembled from Wirtinger derivatives of any A-field.
-
-    `a_field` returns (A_lam, A_mu) at a point; the conjugate legs are the
-    negated adjoints, whose derivatives obey d_z (M+) = (d_zb M)+.  This is
-    the route that stays valid for a numerically differentiated A, where no
-    closed scalar profile exists.
-    """
-    a_lam, a_mu = a_field(p)
-    m = a_lam.shape[0]
-
-    def d_wrt_lam(which: int):
-        fx_p = a_field(ParameterPoint(p.lam + h, p.mu))[which]
-        fx_m = a_field(ParameterPoint(p.lam - h, p.mu))[which]
-        fy_p = a_field(ParameterPoint(p.lam + 1j * h, p.mu))[which]
-        fy_m = a_field(ParameterPoint(p.lam - 1j * h, p.mu))[which]
-        dx = (fx_p - fx_m) / (2.0 * h)
-        dy = (fy_p - fy_m) / (2.0 * h)
-        return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
-
-    def d_wrt_mu(which: int):
-        fx_p = a_field(ParameterPoint(p.lam, p.mu + h))[which]
-        fx_m = a_field(ParameterPoint(p.lam, p.mu - h))[which]
-        fy_p = a_field(ParameterPoint(p.lam, p.mu + 1j * h))[which]
-        fy_m = a_field(ParameterPoint(p.lam, p.mu - 1j * h))[which]
-        dx = (fx_p - fx_m) / (2.0 * h)
-        dy = (fy_p - fy_m) / (2.0 * h)
-        return 0.5 * (dx - 1j * dy), 0.5 * (dx + 1j * dy)
-
-    dl_al, dlb_al = d_wrt_lam(0)
-    dl_am, dlb_am = d_wrt_lam(1)
-    dm_al, dmb_al = d_wrt_mu(0)
-    dm_am, dmb_am = d_wrt_mu(1)
-
-    H = lambda M: M.conj().T
-    comm = lambda X, Y: X @ Y - Y @ X
-
-    comp = {
-        "lm": dl_am - dm_al + comm(a_lam, a_mu),
-        "llb": -(H(dlb_al) + dlb_al + comm(a_lam, H(a_lam))),
-        "lmb": -(H(dlb_am) + dmb_al + comm(a_lam, H(a_mu))),
-        "mlb": -(H(dmb_al) + dlb_am + comm(a_mu, H(a_lam))),
-        "mmb": -(H(dmb_am) + dmb_am + comm(a_mu, H(a_mu))),
-        "lbmb": -(H(dl_am) - H(dm_al) - comm(H(a_lam), H(a_mu))),
     }
     return CurvatureForm(components=comp, point=p, m=m)
 

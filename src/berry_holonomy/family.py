@@ -17,15 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import (
-    TruncatedOperator,
-    TruncatedSpace,
-    UnitaryOperator,
-    displacement,
-    exp_antihermitian,
-    make_operators,
-    squeeze,
-)
+from .fock import TruncatedOperator, TruncatedSpace, UnitaryOperator, apply_factors
 from .reports import SpectrumReport
 
 
@@ -70,7 +62,7 @@ def hamiltonian_h0(m: int, space: TruncatedSpace) -> TruncatedOperator:
 
 def unitary_u(p: ParameterPoint, space: TruncatedSpace) -> UnitaryOperator:
     """U = displacement(lam) squeeze(mu), in that order."""
-    return UnitaryOperator(displacement(p.lam, space).matrix @ squeeze(p.mu, space).matrix)
+    return UnitaryOperator(apply_factors([(1, p.lam), (2, p.mu)], np.eye(space.dim)))
 
 
 def unitary_u_generalized(
@@ -83,27 +75,16 @@ def unitary_u_generalized(
     """
     if order not in ("ascending", "descending"):
         raise ValueError("order must be 'ascending' or 'descending'")
-    ops = make_operators(space)
-    a, ad = ops.a.matrix, ops.a_dag.matrix
-    factors = []
-    ad_pow = np.eye(space.dim, dtype=complex)
-    a_pow = np.eye(space.dim, dtype=complex)
-    for j, lj in enumerate(p.lambdas, start=1):
-        ad_pow = ad_pow @ ad
-        a_pow = a_pow @ a
-        g = (lj * ad_pow - np.conj(lj) * a_pow) / j
-        factors.append(exp_antihermitian(g).matrix)
+    factors = list(enumerate(p.lambdas, start=1))
     if order == "descending":
         factors.reverse()
-    u = np.eye(space.dim, dtype=complex)
-    for f in factors:
-        u = u @ f
-    return UnitaryOperator(u)
+    return UnitaryOperator(apply_factors(factors, np.eye(space.dim)))
 
 
 def vacuum_frame(p: ParameterPoint, m: int, space: TruncatedSpace) -> Frame:
     """First m columns of U(p); an orthonormal frame for the conjugated vacuum."""
-    return Frame(unitary_u(p, space).matrix[:, :m], m, space)
+    v0 = np.eye(space.dim)[:, :m]
+    return Frame(apply_factors([(1, p.lam), (2, p.mu)], v0), m, space)
 
 
 def classifying_projector(p: ParameterPoint, m: int, space: TruncatedSpace) -> Projector:

@@ -5,6 +5,14 @@ matrices.  The annihilator acts as a|n> = sqrt(n)|n-1>, the two-photon
 generators are K+ = (a+)^2/2, K- = a^2/2, K3 = (a+ a + 1/2)/2, which close
 under commutation as [K3, K+-] = +-K+-, [K+, K-] = -2 K3.
 
+One factor engine, `apply_factors`, builds every unitary of the package:
+ordered products of exp((z (a+)^j - conj(z) a^j) / j), where j = 1 is the
+displacement and j = 2 the squeeze.  The diagonal R = exp(i arg(z) N / j)
+satisfies R (a+)^j R+ = e^{i arg z} (a+)^j exactly on the truncated space,
+so each factor is R exp(|z| G_j) R+ with G_j = ((a+)^j - a^j) / j.  One
+eigen-solve of i G_j per (D, j) then serves every z, and a factor costs
+O(D^2 k) on a D x k block.
+
 Truncation corrupts only the top levels: commutation relations and the
 disentangling identities below hold exactly on an interior block whose
 depth depends on how far the displacement and squeeze mix levels downward
@@ -13,8 +21,11 @@ boundary deviation so the two effects are never conflated.
 """
 from __future__ import annotations
 
+import cmath
+import functools
 import math
 from dataclasses import dataclass
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -100,16 +111,53 @@ def exp_antihermitian(g) -> UnitaryOperator:
     return UnitaryOperator((V * np.exp(-1j * w)) @ V.conj().T)
 
 
+@functools.lru_cache(maxsize=None)
+def _generator_modes(dim: int, j: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues w and eigenvectors V, V+ of i G_j on `dim` levels.
+
+    (a+)^j maps |n> to sqrt((n+1)...(n+j)) |n+j> below the cut.  The arrays
+    are shared by every caller, so they are read-only.
+    """
+    n = np.arange(max(dim - j, 0))
+    weight = np.ones(n.size)
+    for k in range(1, j + 1):
+        weight = weight * (n + k)
+    weight = np.sqrt(weight) / j
+    g = np.zeros((dim, dim))
+    g[n + j, n] = weight
+    g[n, n + j] = -weight
+    w, v = np.linalg.eigh(1j * g)
+    vh = v.conj().T.copy()
+    for arr in (w, v, vh):
+        arr.setflags(write=False)
+    return w, v, vh
+
+
+def apply_factors(factors: Sequence[Tuple[int, complex]], x: np.ndarray) -> np.ndarray:
+    """prod_k exp((z_k (a+)^j_k - conj(z_k) a^j_k) / j_k) @ x.
+
+    `factors` lists (j, z) pairs left to right; the rows of x are the Fock
+    levels, so x = identity gives the full unitary and x = its first m
+    columns gives a vacuum frame.
+    """
+    x = np.asarray(x, dtype=complex)
+    levels = np.arange(x.shape[0])
+    for j, z in reversed(factors):
+        w, v, vh = _generator_modes(x.shape[0], j)
+        phase = np.exp(1j * (cmath.phase(z) / j) * levels)[:, np.newaxis]
+        rot = np.exp(-1j * abs(z) * w)[:, np.newaxis]
+        x = phase * (v @ (rot * (vh @ (phase.conj() * x))))
+    return x
+
+
 def displacement(lam: complex, space: TruncatedSpace) -> UnitaryOperator:
     """exp(lam a+ - conj(lam) a)."""
-    ops = make_operators(space)
-    return exp_antihermitian(lam * ops.a_dag.matrix - np.conj(lam) * ops.a.matrix)
+    return UnitaryOperator(apply_factors([(1, lam)], np.eye(space.dim)))
 
 
 def squeeze(mu: complex, space: TruncatedSpace) -> UnitaryOperator:
     """exp(mu K+ - conj(mu) K-)."""
-    ops = make_operators(space)
-    return exp_antihermitian(mu * ops.K_plus.matrix - np.conj(mu) * ops.K_minus.matrix)
+    return UnitaryOperator(apply_factors([(2, mu)], np.eye(space.dim)))
 
 
 def _nilpotent_expm(m: np.ndarray) -> np.ndarray:

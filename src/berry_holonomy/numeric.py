@@ -1,43 +1,54 @@
 """Finite-difference oracle for the connection and curvature.
 
-Everything here differentiates the full truncated unitary directly, with no
-knowledge of the closed-form scalar profiles; agreement between this module
-and the closed expressions is the library's primary self-check.
+Everything here differentiates the vacuum frame V = U V0 directly (V0 the
+first m number states), with no knowledge of the closed-form scalar
+profiles; agreement between this module and the closed expressions is the
+library's primary self-check.  Frames come from the factor engine
+`fock.apply_factors` at O(D^2 m) each, so no unitary is ever formed.
+
+The connection is A_a = V+ d_a V.  The curvature needs first derivatives
+only: with P = V V+,
+
+  F_ab = (d_abar V)+ (1 - P) d_b V - (d_bbar V)+ (1 - P) d_a V,
+
+which is dA + A ^ A after V+ V = 1 is used to trade the A ^ A term for
+the projector.  V and the eight stencil frames serve every component.
 
 Wirtinger convention: for f of one complex variable,
 
   d_z f    = (d_x f - i d_y f) / 2
   d_zbar f = (d_x f + i d_y f) / 2,
 
-with d_x, d_y central differences of step h.  Optional one-level Richardson
+with d_x, d_y central differences of step h.  `wirtinger_derivative` is the
+only such stencil in the package; `curvature_from_components` (dA + A ^ A of
+any connection field) and `derivative_identity_report` (scalar identities)
+use it too.  Optional one-level Richardson
 extrapolation combines steps h and h/2 as (4 D(h/2) - D(h)) / 3.
 """
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .connection import ConnectionMatrices
-from .curvature import CurvatureForm, curvature_closed, curvature_from_components
-from .family import GeneralizedPoint, ParameterPoint
-from .fock import TruncatedSpace, displacement, exp_antihermitian, make_operators, squeeze
+from .connection import ConnectionMatrices, tanhc
+from .curvature import CurvatureForm, curvature_closed
+from .family import GeneralizedPoint, ParameterPoint, vacuum_frame
+from .fock import TruncatedSpace, apply_factors
 from .reports import ConvergenceReport, IdentityReport
 
 
 @dataclass(frozen=True)
 class DifferentiationPlan:
     h: float = 1e-4
-    scheme: str = "central"
     richardson: bool = False
 
     def __post_init__(self):
         if not (1e-8 <= self.h <= 1e-2):
             raise ValueError("step size out of the supported range")
-        if self.scheme != "central":
-            raise ValueError("only central differences are supported")
 
 
 def wirtinger_derivative(
@@ -58,39 +69,6 @@ def wirtinger_derivative(
             (4.0 * fine[1] - coarse[1]) / 3.0,
         )
     return central(plan.h)
-
-
-class UnitaryCache:
-    """Memoizes the displacement and squeeze factors by parameter value.
-
-    A central-difference stencil around one parameter reuses the factor for
-    the other parameter unchanged, so caching factors (not products) removes
-    the dominant eigendecompositions from repeated oracle calls.
-    """
-
-    def __init__(self, space: TruncatedSpace):
-        self.space = space
-        self._disp: Dict[complex, np.ndarray] = {}
-        self._sq: Dict[complex, np.ndarray] = {}
-
-    def displacement_matrix(self, lam: complex) -> np.ndarray:
-        key = complex(lam)
-        got = self._disp.get(key)
-        if got is None:
-            got = displacement(key, self.space).matrix
-            self._disp[key] = got
-        return got
-
-    def squeeze_matrix(self, mu: complex) -> np.ndarray:
-        key = complex(mu)
-        got = self._sq.get(key)
-        if got is None:
-            got = squeeze(key, self.space).matrix
-            self._sq[key] = got
-        return got
-
-    def unitary_matrix(self, p: ParameterPoint) -> np.ndarray:
-        return self.displacement_matrix(p.lam) @ self.squeeze_matrix(p.mu)
 
 
 @dataclass
@@ -120,45 +98,38 @@ def default_dim(p: Union[ParameterPoint, GeneralizedPoint], m: int) -> int:
     return 1 << max(6, (floor - 1).bit_length())
 
 
+def _resolve(p, m: int, space: Optional[TruncatedSpace], plan: Optional[DifferentiationPlan]):
+    if m < 1:
+        raise ValueError("m must be positive")
+    space = space or TruncatedSpace(default_dim(p, m))
+    if m >= space.dim:
+        raise ValueError("m must be smaller than the space dimension")
+    return space, plan or DifferentiationPlan()
+
+
+def _frame_legs(p: ParameterPoint, m: int, space: TruncatedSpace, plan: DifferentiationPlan):
+    """V at p and its Wirtinger derivatives keyed by leg: l, lb, m, mb."""
+    frame = lambda lam, mu: vacuum_frame(ParameterPoint(lam, mu), m, space).matrix
+    d = {}
+    d["l"], d["lb"] = wirtinger_derivative(lambda z: frame(z, p.mu), p.lam, plan)
+    d["m"], d["mb"] = wirtinger_derivative(lambda z: frame(p.lam, z), p.mu, plan)
+    return frame(p.lam, p.mu), d
+
+
 def _two_parameter_oracle(
-    p: ParameterPoint,
-    m: int,
-    space: TruncatedSpace,
-    plan: DifferentiationPlan,
-    cache: Optional[UnitaryCache],
+    p: ParameterPoint, m: int, space: TruncatedSpace, plan: DifferentiationPlan
 ) -> OracleConnection:
-    if cache is not None and cache.space != space:
-        raise ValueError("cache bound to a different space")
-    if cache is not None:
-        unit = lambda q: cache.unitary_matrix(q)
-    else:
-        unit = lambda q: displacement(q.lam, space).matrix @ squeeze(q.mu, space).matrix
-    v0 = np.eye(space.dim, dtype=complex)[:, :m]
-    u = unit(p)
-    ud = u.conj().T
-
-    def sandwich(mat: np.ndarray) -> np.ndarray:
-        return v0.conj().T @ (ud @ mat) @ v0
-
-    du_l, du_lb = wirtinger_derivative(
-        lambda z: unit(ParameterPoint(z, p.mu)), p.lam, plan
-    )
-    du_m, du_mb = wirtinger_derivative(
-        lambda z: unit(ParameterPoint(p.lam, z)), p.mu, plan
-    )
-    a_lam = sandwich(du_l)
-    a_mu = sandwich(du_m)
-    a_lamb = sandwich(du_lb)
-    a_mub = sandwich(du_mb)
+    v, d = _frame_legs(p, m, space, plan)
+    a = {leg: v.conj().T @ dv for leg, dv in d.items()}
     # the conjugate legs must be the negated adjoints; the defect is a
     # direct read of the finite-difference error level
     err = max(
-        float(np.abs(a_lamb + a_lam.conj().T).max()),
-        float(np.abs(a_mub + a_mu.conj().T).max()),
+        float(np.abs(a["lb"] + a["l"].conj().T).max()),
+        float(np.abs(a["mb"] + a["m"].conj().T).max()),
     )
     return OracleConnection(
-        a_lambda=a_lam,
-        a_mu=a_mu,
+        a_lambda=a["l"],
+        a_mu=a["m"],
         point=p,
         m=m,
         D=space.dim,
@@ -168,50 +139,19 @@ def _two_parameter_oracle(
 
 
 def _generalized_oracle(
-    p: GeneralizedPoint,
-    m: int,
-    space: TruncatedSpace,
-    plan: DifferentiationPlan,
+    p: GeneralizedPoint, m: int, space: TruncatedSpace, plan: DifferentiationPlan
 ) -> GeneralizedOracleConnection:
-    ops = make_operators(space)
-    a_op, ad_op = ops.a.matrix, ops.a_dag.matrix
-    n = len(p.lambdas)
-    ad_pows = []
-    a_pows = []
-    cur_ad = np.eye(space.dim, dtype=complex)
-    cur_a = np.eye(space.dim, dtype=complex)
-    for _ in range(n):
-        cur_ad = cur_ad @ ad_op
-        cur_a = cur_a @ a_op
-        ad_pows.append(cur_ad)
-        a_pows.append(cur_a)
-
-    def factor(j: int, z: complex) -> np.ndarray:
-        g = (z * ad_pows[j] - np.conj(z) * a_pows[j]) / (j + 1)
-        return exp_antihermitian(g).matrix
-
-    factors = [factor(j, p.lambdas[j]) for j in range(n)]
-    # prefix[k] = E_1 ... E_{k-1}, suffix[k] = E_{k+1} ... E_n, so a stencil
-    # around lambda_k rebuilds only the k-th factor
-    prefix = [np.eye(space.dim, dtype=complex)]
-    for j in range(n - 1):
-        prefix.append(prefix[-1] @ factors[j])
-    suffix = [np.eye(space.dim, dtype=complex)] * n
-    acc = np.eye(space.dim, dtype=complex)
-    for j in range(n - 1, -1, -1):
-        suffix[j] = acc
-        acc = factors[j] @ acc
-    u = acc
-    ud = u.conj().T
-    v0 = np.eye(space.dim, dtype=complex)[:, :m]
+    v0 = np.eye(space.dim)[:, :m]
+    factors = list(enumerate(p.lambdas, start=1))
+    vh = apply_factors(factors, v0).conj().T
 
     a_list: List[np.ndarray] = []
     abar_list: List[np.ndarray] = []
-    for k in range(n):
-        f_k = lambda z: prefix[k] @ factor(k, z) @ suffix[k]
-        d_z, d_zb = wirtinger_derivative(f_k, p.lambdas[k], plan)
-        a_list.append(v0.conj().T @ (ud @ d_z) @ v0)
-        abar_list.append(v0.conj().T @ (ud @ d_zb) @ v0)
+    for k, (j, z0) in enumerate(factors):
+        frame = lambda z: apply_factors(factors[:k] + [(j, z)] + factors[k + 1 :], v0)
+        d_z, d_zb = wirtinger_derivative(frame, z0, plan)
+        a_list.append(vh @ d_z)
+        abar_list.append(vh @ d_zb)
     return GeneralizedOracleConnection(
         a=a_list, a_bar=abar_list, point=p, m=m, D=space.dim, h=plan.h
     )
@@ -222,22 +162,24 @@ def connection_numeric(
     m: int,
     space: Optional[TruncatedSpace] = None,
     plan: Optional[DifferentiationPlan] = None,
-    cache: Optional[UnitaryCache] = None,
 ):
-    """Connection matrices by direct differentiation of the unitary.
-
-    Recomputes the unitary at every stencil node unless a `UnitaryCache`
-    is supplied; results are identical either way.
-    """
-    if m < 1:
-        raise ValueError("m must be positive")
-    plan = plan or DifferentiationPlan()
-    space = space or TruncatedSpace(default_dim(p, m))
-    if m >= space.dim:
-        raise ValueError("m must be smaller than the space dimension")
+    """Connection matrices A_a = V+ d_a V by direct differentiation of the frame."""
+    space, plan = _resolve(p, m, space, plan)
     if isinstance(p, GeneralizedPoint):
         return _generalized_oracle(p, m, space, plan)
-    return _two_parameter_oracle(p, m, space, plan, cache)
+    return _two_parameter_oracle(p, m, space, plan)
+
+
+# (a, b) legs of each component F_ab, and the conjugate of each leg
+_COMPONENT_LEGS = {
+    "lm": ("l", "m"),
+    "llb": ("l", "lb"),
+    "lmb": ("l", "mb"),
+    "mlb": ("m", "lb"),
+    "mmb": ("m", "mb"),
+    "lbmb": ("lb", "mb"),
+}
+_CONJUGATE_LEG = {"l": "lb", "lb": "l", "m": "mb", "mb": "m"}
 
 
 def curvature_numeric(
@@ -245,24 +187,54 @@ def curvature_numeric(
     m: int,
     space: Optional[TruncatedSpace] = None,
     plan: Optional[DifferentiationPlan] = None,
-    cache: Optional[UnitaryCache] = None,
 ) -> CurvatureForm:
-    """Curvature with both derivative levels numeric.
+    """Curvature from first derivatives of the frame (see the module note)."""
+    space, plan = _resolve(p, m, space, plan)
+    v, d = _frame_legs(p, m, space, plan)
+    off_frame = {leg: dv - v @ (v.conj().T @ dv) for leg, dv in d.items()}
+    comp = {
+        key: d[_CONJUGATE_LEG[a]].conj().T @ off_frame[b]
+        - d[_CONJUGATE_LEG[b]].conj().T @ off_frame[a]
+        for key, (a, b) in _COMPONENT_LEGS.items()
+    }
+    return CurvatureForm(components=comp, point=p, m=m)
 
-    The outer step (applied to the already-differentiated connection) is
-    ten times the inner one; with the default plan that is 1e-3 over 1e-4,
-    which balances truncation against subtractive noise in the second
-    derivative.
+
+def curvature_from_components(
+    a_field: Callable[[ParameterPoint], Tuple[np.ndarray, np.ndarray]],
+    p: ParameterPoint,
+    h: float,
+) -> CurvatureForm:
+    """F = dA + A ^ A assembled from Wirtinger derivatives of any A-field.
+
+    `a_field` returns (A_lam, A_mu) at a point; the conjugate legs are the
+    negated adjoints, whose derivatives obey d_z (M+) = (d_zb M)+.  The
+    closed connection fed through here is a reference for
+    `curvature_closed` that shares none of its scalar profiles.
     """
-    plan = plan or DifferentiationPlan()
-    space = space or TruncatedSpace(default_dim(p, m))
-    h_outer = 10.0 * plan.h
+    plan = DifferentiationPlan(h=h)
+    a_lam, a_mu = a_field(p)
+    m = a_lam.shape[0]
+    field = lambda lam, mu: np.stack(a_field(ParameterPoint(lam, mu)))
+    (dl_al, dl_am), (dlb_al, dlb_am) = wirtinger_derivative(
+        lambda z: field(z, p.mu), p.lam, plan
+    )
+    (dm_al, dm_am), (dmb_al, dmb_am) = wirtinger_derivative(
+        lambda z: field(p.lam, z), p.mu, plan
+    )
 
-    def a_field(q: ParameterPoint):
-        oc = connection_numeric(q, m, space, plan, cache)
-        return oc.a_lambda, oc.a_mu
+    H = lambda M: M.conj().T
+    comm = lambda X, Y: X @ Y - Y @ X
 
-    return curvature_from_components(a_field, p, h_outer)
+    comp = {
+        "lm": dl_am - dm_al + comm(a_lam, a_mu),
+        "llb": -(H(dlb_al) + dlb_al + comm(a_lam, H(a_lam))),
+        "lmb": -(H(dlb_am) + dmb_al + comm(a_lam, H(a_mu))),
+        "mlb": -(H(dmb_al) + dlb_am + comm(a_mu, H(a_lam))),
+        "mmb": -(H(dmb_am) + dmb_am + comm(a_mu, H(a_mu))),
+        "lbmb": -(H(dl_am) - H(dm_al) - comm(H(a_lam), H(a_mu))),
+    }
+    return CurvatureForm(components=comp, point=p, m=m)
 
 
 def global_form_check(
@@ -280,17 +252,13 @@ def global_form_check(
     includes the orthogonal-complement block, which the frame form does not
     constrain, so it is reported but not expected to be small).
     """
-    plan = plan or DifferentiationPlan()
-    space = space or TruncatedSpace(default_dim(p, m))
-
-    def frame_at(q: ParameterPoint) -> np.ndarray:
-        return (displacement(q.lam, space).matrix @ squeeze(q.mu, space).matrix)[:, :m]
+    space, plan = _resolve(p, m, space, plan)
 
     def proj_at(q: ParameterPoint) -> np.ndarray:
-        v = frame_at(q)
+        v = vacuum_frame(q, m, space).matrix
         return v @ v.conj().T
 
-    v = frame_at(p)
+    v = vacuum_frame(p, m, space).matrix
     proj = v @ v.conj().T
     form = curvature_closed(p, m)
 
@@ -353,4 +321,67 @@ def convergence_report(
         dims=list(int(d) for d in dims),
         deviations=deviations,
         converged=bool(deviations[-1] < 1e-8),
+    )
+
+
+def derivative_identity_report(z: complex, h: float = 1e-5) -> IdentityReport:
+    """Finite-difference check of three Wirtinger-derivative identities of
+    the scalar profile t(z) = z tanh|z| / |z|:
+
+      d_z t           = (1 - tanh^2|z| + tanh|z|/|z|) / 2
+      d_z log(1-t tb) = -conj(z) tanh|z| / |z|   with tb = conj(t)
+      d_z conj(t)     = (conj(z)^2 / (2|z|^2)) (1 - tanh^2|z| - tanh|z|/|z|)
+
+    Central differences in the real and imaginary directions build d_z;
+    the reported deviations are absolute.
+    """
+    if not (1e-7 <= h <= 1e-3):
+        raise ValueError("step size out of the supported range")
+    if abs(z) < 10.0 * h:
+        raise ValueError("too close to removable singularity for this step")
+
+    def t_of(w: complex) -> complex:
+        return w * tanhc(abs(w))
+
+    plan = DifferentiationPlan(h=h)
+    wirt = lambda f, w: wirtinger_derivative(f, w, plan)[0]
+
+    x = abs(z)
+    th = math.tanh(x)
+    toverx = tanhc(x)
+
+    d1_num = wirt(t_of, z)
+    d1_ref = 0.5 * (1.0 - th * th + toverx)
+    dev1 = abs(d1_num - d1_ref)
+
+    def logf(w: complex) -> complex:
+        tw = t_of(w)
+        return cmath.log(1.0 - tw * np.conj(tw))
+
+    d2_num = wirt(logf, z)
+    d2_ref = -np.conj(z) * toverx
+    dev2 = abs(d2_num - d2_ref)
+
+    def tbar(w: complex) -> complex:
+        return np.conj(t_of(w))
+
+    d3_num = wirt(tbar, z)
+    d3_ref = (np.conj(z) ** 2 / (2.0 * x * x)) * (1.0 - th * th - toverx)
+    dev3 = abs(d3_num - d3_ref)
+
+    worst = max(dev1, dev2, dev3)
+    return IdentityReport(
+        interior_dev=worst,
+        boundary_dev=worst,
+        D=0,
+        buffer=0,
+        label="derivative-identities",
+        extras={
+            "z": [z.real, z.imag],
+            "h": h,
+            "identity_1_dev": dev1,
+            "identity_2_dev": dev2,
+            "identity_3_dev": dev3,
+            "identity_2_rhs": [d2_ref.real, d2_ref.imag],
+        },
     )

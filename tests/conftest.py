@@ -1,7 +1,7 @@
 import pytest
 from hypothesis import HealthCheck, settings
 
-from berry_holonomy import TruncatedSpace, UnitaryCache
+from berry_holonomy import TruncatedSpace
 
 settings.register_profile(
     "suite",
@@ -26,8 +26,3 @@ def space96():
 @pytest.fixture(scope="session")
 def space128():
     return TruncatedSpace(128)
-
-
-@pytest.fixture(scope="session")
-def cache128(space128):
-    return UnitaryCache(space128)

@@ -12,14 +12,12 @@ import json
 import time
 
 import numpy as np
-import pytest
 
 from berry_holonomy import (
     COMPONENT_KEYS,
     GeneralizedPoint,
     ParameterPoint,
     TruncatedSpace,
-    UnitaryCache,
     bch_identity_report,
     berry_phase_diagonal,
     connection_closed,
@@ -60,20 +58,17 @@ def _line(num: int, ok: bool, detail: str) -> None:
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-@pytest.fixture(scope="module")
-def oracle128():
-    space = TruncatedSpace(128)
-    return space, UnitaryCache(space), DifferentiationPlan(h=1e-4)
+SPACE128 = TruncatedSpace(128)
+PLAN = DifferentiationPlan(h=1e-4)
 
 
-def test_criterion_01_connection_against_oracle(oracle128):
-    space, cache, plan = oracle128
+def test_criterion_01_connection_against_oracle():
     t0 = time.monotonic()
     worst = 0.0
     for m in (2, 3, 4):
         for p in GRID:
             closed = connection_closed(p, m)
-            oracle = connection_numeric(p, m, space, plan, cache)
+            oracle = connection_numeric(p, m, SPACE128, PLAN)
             worst = max(
                 worst,
                 float(np.abs(closed.a_lambda - oracle.a_lambda).max()),
@@ -91,15 +86,14 @@ def test_criterion_01_connection_against_oracle(oracle128):
     assert elapsed < 60.0
 
 
-def test_criterion_02_curvature_against_oracle(oracle128):
-    space, cache, plan = oracle128
+def test_criterion_02_curvature_against_oracle():
     worst = {k: 0.0 for k in COMPONENT_KEYS}
     for m in (2, 3, 4):
         neg_mk = -m * _basis(m).K
         for p in GRID:
             closed = curvature_closed(p, m)
             assert np.abs(closed.components["llb"] - neg_mk).max() == 0.0
-            oracle = curvature_numeric(p, m, space, plan, cache)
+            oracle = curvature_numeric(p, m, SPACE128, PLAN)
             for k in COMPONENT_KEYS:
                 worst[k] = max(
                     worst[k],
@@ -112,14 +106,13 @@ def test_criterion_02_curvature_against_oracle(oracle128):
     assert top < 1e-5
 
 
-def test_criterion_03_wedge_square_three_way(oracle128):
-    space, cache, plan = oracle128
+def test_criterion_03_wedge_square_three_way():
     gate = 0.0
     formula = 0.0
     for m in (2, 3):
         for p in WEDGE_POINTS:
             w_closed = f_squared_from_wedge(curvature_closed(p, m))
-            w_oracle = f_squared_from_wedge(curvature_numeric(p, m, space, plan, cache))
+            w_oracle = f_squared_from_wedge(curvature_numeric(p, m, SPACE128, PLAN))
             gate = max(gate, float(np.abs(w_closed - w_oracle).max()))
             formula = max(formula, float(np.abs(w_closed - f_squared(p.mu, m)).max()))
     ok = gate < 1e-5

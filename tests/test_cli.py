@@ -102,6 +102,7 @@ def test_verify_passes_and_is_deterministic(tmp_path):
     }
     for sec in sections.values():
         assert sec["passed"] is True
+    assert 0.0 < sections["connection"]["max_estimated_error"] < 1e-6
 
 
 def test_verify_breach_exit_code(tmp_path):
@@ -114,9 +115,17 @@ def test_verify_breach_exit_code(tmp_path):
 def test_bad_config_exit_codes(tmp_path, capsys):
     assert main(["connection", "--m", "0"]) == 2
     assert main(["connection", "--lambda", "nope"]) == 2
+    assert main(["connection", "--lambda", "nan"]) == 2
+    assert main(["connection", "--mu", "inf"]) == 2
     assert main(["verify", "--format", "csv"]) == 2
     assert main(["connection", "--m", "2", "--grid", "/missing.json"]) == 2
     capsys.readouterr()
+
+
+def test_numerical_failure_exit_code(capsys):
+    # cosh overflows in the closed curvature; that is exit 3, not 1 or 2
+    assert main(["curvature", "--mu", "1e308"]) == 3
+    assert "numerical failure" in capsys.readouterr().err
 
 
 def test_threads_env_validation(tmp_path, monkeypatch, capsys):

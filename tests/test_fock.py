@@ -5,12 +5,14 @@ import pytest
 from hypothesis import given, strategies as st
 
 from berry_holonomy import (
+    GeneralizedPoint,
     TruncatedSpace,
     bch_identity_report,
     displacement,
     exp_antihermitian,
     make_operators,
     squeeze,
+    unitary_u_generalized,
 )
 from berry_holonomy.fock import displacement_buffer, squeeze_buffer
 
@@ -125,6 +127,28 @@ def test_zero_arguments_give_identity(space64):
     eye = np.eye(64)
     assert np.abs(displacement(0.0, space64).matrix - eye).max() < 1e-14
     assert np.abs(squeeze(0.0, space64).matrix - eye).max() < 1e-14
+
+
+def test_factor_engine_against_reference(space128):
+    """Every factor exp((z (a+)^j - conj(z) a^j)/j) against a direct eigen-solve.
+
+    Both routes round to about eps |z| ||G_j||, and ||G_3|| is about 800 at
+    D = 128, so the 1e-13 bound widens once |z| ||G_j|| passes 100.
+    """
+    ops = make_operators(space128)
+    a, ad = ops.a.matrix, ops.a_dag.matrix
+    for z in (0.3 + 0.2j, -0.7 + 0.1j, 1.0j, 0.5):
+        for j in (1, 2, 3):
+            g = (z * np.linalg.matrix_power(ad, j) - np.conj(z) * np.linalg.matrix_power(a, j)) / j
+            ref = exp_antihermitian(g).matrix
+            if j == 1:
+                got = displacement(z, space128).matrix
+            elif j == 2:
+                got = squeeze(z, space128).matrix
+            else:
+                got = unitary_u_generalized(GeneralizedPoint((0.0, 0.0, z)), space128).matrix
+            scale = np.linalg.norm(g, 2)
+            assert np.abs(got - ref).max() < 1e-13 * max(1.0, scale / 100.0), (z, j)
 
 
 def test_buffers_bracketed():

@@ -8,7 +8,6 @@ from berry_holonomy import (
     GeneralizedPoint,
     ParameterPoint,
     TruncatedSpace,
-    UnitaryCache,
     connection_closed,
     connection_numeric,
     convergence_report,
@@ -27,8 +26,6 @@ def test_plan_validation():
         DifferentiationPlan(h=1e-9)
     with pytest.raises(ValueError):
         DifferentiationPlan(h=0.1)
-    with pytest.raises(ValueError):
-        DifferentiationPlan(scheme="forward")
 
 
 @given(
@@ -60,20 +57,6 @@ def test_oracle_matches_closed_connection(space96):
     assert np.abs(oc.a_mu - cl.a_mu).max() < 1e-6
     assert oc.estimated_error < 1e-7
     assert oc.D == 96 and oc.h == 1e-4
-
-
-def test_cache_changes_nothing(space96):
-    cache = UnitaryCache(space96)
-    with_cache = connection_numeric(POINT, 2, space96, cache=cache)
-    without = connection_numeric(POINT, 2, space96)
-    assert np.abs(with_cache.a_lambda - without.a_lambda).max() < 1e-14
-    assert np.abs(with_cache.a_mu - without.a_mu).max() < 1e-14
-
-
-def test_cache_space_mismatch(space96):
-    cache = UnitaryCache(TruncatedSpace(32))
-    with pytest.raises(ValueError):
-        connection_numeric(POINT, 2, space96, cache=cache)
 
 
 def test_oracle_matches_closed_curvature(space96):
