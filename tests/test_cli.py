@@ -10,6 +10,7 @@ from berry_holonomy.cli import (
     main,
     parse_complex,
 )
+from berry_holonomy.lie import ClosureNotStabilized
 from berry_holonomy.reports import dump_json
 
 
@@ -118,24 +119,59 @@ def test_bad_config_exit_codes(tmp_path, capsys):
     assert main(["connection", "--lambda", "nan"]) == 2
     assert main(["connection", "--mu", "inf"]) == 2
     assert main(["verify", "--format", "csv"]) == 2
+    assert main(["verify", "--tolerance", "nan"]) == 2
     assert main(["connection", "--m", "2", "--grid", "/missing.json"]) == 2
+    assert main(["holonomy", "--loop", "/missing.json"]) == 2
     capsys.readouterr()
 
 
-def test_numerical_failure_exit_code(capsys):
-    # cosh overflows in the closed curvature; that is exit 3, not 1 or 2
-    assert main(["curvature", "--mu", "1e308"]) == 3
-    assert "numerical failure" in capsys.readouterr().err
+def test_numerical_failure_exit_code(tmp_path, capsys):
+    for argv in (
+        # cosh overflows in the closed curvature; that is exit 3, not 1 or 2
+        ["curvature", "--mu", "1e308"],
+        # finite inputs whose closed forms come out NaN or infinite
+        ["connection", "--mu", "400"],
+        ["curvature", "--mu", "400"],
+        ["curvature", "--mu", "400", "--format", "csv"],
+        ["chern", "--mu", "400"],
+    ):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 3, argv
+        assert "numerical failure" in capsys.readouterr().err
+        assert not out.exists()
 
 
-def test_threads_env_validation(tmp_path, monkeypatch, capsys):
-    monkeypatch.setenv("BERRY_HOLONOMY_THREADS", "abc")
-    assert main(["connection", "--m", "2", "--lambda", "0.1", "--mu", "0.1"]) == 2
-    monkeypatch.setenv("BERRY_HOLONOMY_THREADS", "2")
-    code, doc = run(["connection", "--m", "2"], tmp_path)
-    assert code == 0
-    assert len(doc["payload"]["points"]) == 81
-    capsys.readouterr()
+def test_closure_failure_exit_code(monkeypatch, capsys):
+    def unstable(*args, **kwargs):
+        raise ClosureNotStabilized(7, 6)
+
+    monkeypatch.setattr("berry_holonomy.cli.holonomy_algebra_dimension", unstable)
+    assert main(["irreducibility", "--m", "2"]) == 3
+    assert "partial dimension 7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["connection", "curvature"])
+def test_csv_matches_json(command, tmp_path):
+    argv = [command, "--m", "3", "--grid", "small"]
+    _, doc = run(argv, tmp_path)
+    csv_out = tmp_path / "out.csv"
+    assert main(argv + ["--format", "csv", "--out", str(csv_out)]) == 0
+    lines = csv_out.read_text().splitlines()
+    header = lines[0].split(",")
+    points = doc["payload"]["points"]
+    assert len(lines) - 1 == len(points) == 4
+    for line, entry in zip(lines[1:], points):
+        cells = dict(zip(header, map(float, line.split(","))))
+        expected = {}
+        for name, value in entry.items():
+            if name in ("lambda", "mu"):
+                expected[f"{name}.re"], expected[f"{name}.im"] = value
+                continue
+            for i, row in enumerate(value):
+                for j, (re, im) in enumerate(row):
+                    expected[f"{name}[{i}][{j}].re"] = re
+                    expected[f"{name}[{i}][{j}].im"] = im
+        assert cells == expected
 
 
 def test_config_file_and_flag_override(tmp_path):
