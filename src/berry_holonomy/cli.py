@@ -18,8 +18,9 @@ between identical runs (timestamps, runtime) lives under "meta"; the
 Exit codes: 0 success (all checks passed where applicable), 1 tolerance
 breach, 2 configuration error (including non-finite inputs and files that
 cannot be opened), 3 numerical failure (overflow, a linear-algebra routine
-that did not converge, a closure that did not stabilize, or a non-finite
-result; nothing is written then).
+that did not converge, a transport step too large for the loop's samples, a
+closure that did not stabilize, or a non-finite result; nothing is written
+then).
 """
 from __future__ import annotations
 
@@ -100,12 +101,14 @@ def _axis_values(mags: Sequence[float], phases: Sequence[float]) -> List[complex
     return out
 
 
-def _point_pairs(raw: list, entries: str) -> List[ParameterPoint]:
-    """Points from a parsed JSON list of [lam, mu] string pairs."""
+def _point_pairs(raw: list, source: str) -> List[ParameterPoint]:
+    """Points from a parsed, non-empty JSON list of [lam, mu] string pairs."""
+    if not raw:
+        raise ConfigError(f"{source} holds no points")
     pts = []
     for entry in raw:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
-            raise ConfigError(f"{entries} must be [lam, mu] pairs")
+            raise ConfigError(f"{source} entries must be [lam, mu] pairs")
         pts.append(ParameterPoint(parse_complex(str(entry[0])), parse_complex(str(entry[1]))))
     return pts
 
@@ -123,7 +126,7 @@ def grid_points(name_or_path: str) -> List[ParameterPoint]:
             raw = json.load(fh)
         if not isinstance(raw, list):
             raise ConfigError("grid file must hold a JSON list of [lam, mu] pairs")
-        return _point_pairs(raw, "grid entries")
+        return _point_pairs(raw, f"grid {name_or_path!r}")
     return [ParameterPoint(lam, mu) for lam in axis for mu in axis]
 
 
@@ -336,7 +339,7 @@ def _load_loop(args: argparse.Namespace, cfg: argparse.Namespace):
         raw = raw.get("vertices", raw)
     if not isinstance(raw, list) or len(raw) < 2:
         raise ConfigError("loop file must hold a JSON list of [lam, mu] vertices")
-    verts = _point_pairs(raw, "loop vertices")
+    verts = _point_pairs(raw, "loop file")
     per_side = max(16, cfg.samples // len(verts))
     return polygon_loop(verts, samples_per_side=per_side, closed=True)
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol
+from typing import Tuple
 
 import numpy as np
 
@@ -150,36 +150,33 @@ def connection_closed(p: ParameterPoint, m: int) -> ConnectionMatrices:
 
 
 def contract_one_form(cm: ConnectionMatrices, dlam: complex, dmu: complex) -> np.ndarray:
-    """A(v) for tangent v = (dlam, dmu); conjugate legs enter as -A+."""
-
+    """A(v) for tangent v = (dlam, dmu); conjugate legs enter as -A+, so
+    A(v) = X - X+ with X = A_lam dlam + A_mu dmu."""
     out = cm.a_lambda * dlam + cm.a_mu * dmu
-    out = out - cm.a_lambda.conj().T * np.conj(dlam) - cm.a_mu.conj().T * np.conj(dmu)
-    return out
+    return out - out.conj().T
 
 
-class _VelocityLoop(Protocol):
-    samples: int
-
-    def point_at(self, t: float) -> ParameterPoint: ...
-
-    def velocity_at(self, t: float) -> tuple: ...
+def loop_one_form(loop, m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Step lengths h, shape (steps,), and the contracted one-form
+    A(gamma') at the two Gauss nodes of every step of `loop.gauss_steps()`,
+    shape (steps, 2, m, m).  Every loop integral sums over these nodes."""
+    h, nodes = loop.gauss_steps()
+    a = [
+        contract_one_form(connection_closed(loop.point_at(t), m), *loop.velocity_at(t))
+        for t in nodes.ravel()
+    ]
+    return h, np.reshape(a, nodes.shape + (m, m))
 
 
 def berry_phase_diagonal(loop, m: int) -> np.ndarray:
     """Abelian phases: Im of the diagonal of the contracted one-form,
-    integrated around a closed loop by the periodic trapezoid rule.
+    integrated around a closed loop by the two-point Gauss rule.
 
     For a lam-circle of radius r at mu = 0 every diagonal entry gives
-    2 pi r^2 regardless of m.
+    2 pi r^2 regardless of m.  The nodes are the ones `transport` uses, so
+    the phases sum to -arg det W (mod 2 pi) up to rounding.
     """
-    if not getattr(loop, "closed", True):
+    if not loop.closed:
         raise ValueError("loop must be closed")
-    n = loop.samples
-    acc = np.zeros(m, dtype=float)
-    for k in range(n):
-        t = k / n
-        p = loop.point_at(t)
-        dlam, dmu = loop.velocity_at(t)
-        a = contract_one_form(connection_closed(p, m), dlam, dmu)
-        acc += np.diag(a).imag
-    return acc / n
+    h, a = loop_one_form(loop, m)
+    return 0.5 * np.einsum("s,snii->i", h, a).imag

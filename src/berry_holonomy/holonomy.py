@@ -1,11 +1,16 @@
 """Parallel transport and holonomy of the closed-form connection.
 
-Transport solves W'(t) = -A(gamma(t); gamma'(t)) W(t) with classical RK4,
-piece by piece between the loop's breakpoints, and restores exact unitarity
-by one polar projection at the end.  For a small coordinate square of side
-eps spanned by tangents (u, v), log W = -F(u, v) eps^2 + O(eps^3); halving
-eps divides the residual against the closed curvature by about eight, which
-`small_loop_check` reports as a ratio.
+Transport solves W'(t) = -A(gamma(t); gamma'(t)) W(t) with the
+fourth-order two-point Gauss-Magnus rule (Iserles & Norsett 1999; Blanes,
+Casas, Oteo & Ros 2009) and restores exact unitarity by one polar
+projection at the end.  `LoopPath.gauss_steps` places the nodes of every
+loop integral (transport, the abelian phases of `berry_phase_diagonal`, the
+path length) strictly inside the loop's smooth pieces, never on a corner.
+
+For a small coordinate square of side eps spanned by tangents (u, v),
+log W = -F(u, v) eps^2 + O(eps^3); halving eps divides the residual against
+the closed curvature by about eight, which `small_loop_check` reports as a
+ratio.
 
 Two routes measure the real dimension of the holonomy algebra at a base
 point.  `holonomy_algebra_dimension` closes small-loop logarithms conjugated
@@ -21,12 +26,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import logm
+from scipy.linalg import eigh, logm
 
-from .connection import connection_closed, contract_one_form
+from .connection import loop_one_form
 from .curvature import PLANE_TANGENTS, contract_two_form, curvature_closed
 from .family import ParameterPoint
 from .lie import ClosureNotStabilized, real_lie_closure
@@ -37,39 +42,33 @@ from .reports import IdentityReport
 class LoopPath:
     """A parameterized path in the (lam, mu) parameter space.
 
-    `parameterization` maps t in [0, 1] to a ParameterPoint.  `velocity`
-    may give d/dt analytically; otherwise it is approximated by a central
-    difference confined to the breakpoint piece containing t, so piecewise
-    paths never difference across a corner.
+    `point_at` maps t in [0, 1] to a ParameterPoint and `velocity_at` gives
+    its t-derivative (dlam, dmu).  `breakpoints` split [0, 1] into pieces
+    that are smooth inside (the sides of a polygon).
     """
 
-    parameterization: Callable[[float], ParameterPoint]
+    point_at: Callable[[float], ParameterPoint]
+    velocity_at: Callable[[float], Tuple[complex, complex]]
     samples: int
     closed: bool = True
-    velocity: Optional[Callable[[float], Tuple[complex, complex]]] = None
     breakpoints: Tuple[float, ...] = (0.0, 1.0)
 
-    def point_at(self, t: float) -> ParameterPoint:
-        return self.parameterization(t)
+    def gauss_steps(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Step lengths h, shape (steps,), and the two Gauss-Legendre nodes
+        t_mid -+ h/(2 sqrt 3) of every step, shape (steps, 2).
 
-    def _piece(self, t: float) -> Tuple[float, float]:
-        bps = self.breakpoints
-        for i in range(len(bps) - 1):
-            if t < bps[i + 1] or i == len(bps) - 2:
-                return bps[i], bps[i + 1]
-        return bps[-2], bps[-1]
-
-    def velocity_at(self, t: float) -> Tuple[complex, complex]:
-        if self.velocity is not None:
-            return self.velocity(t)
-        lo, hi = self._piece(t)
-        h = (hi - lo) * 1e-6
-        t0 = max(lo, t - h)
-        t1 = min(hi, t + h)
-        p0 = self.parameterization(t0)
-        p1 = self.parameterization(t1)
-        inv = 1.0 / (t1 - t0)
-        return ((p1.lam - p0.lam) * inv, (p1.mu - p0.mu) * inv)
+        Each breakpoint piece gets round(samples * length) equal steps (at
+        least one), so every node lies strictly inside its piece.
+        """
+        hs, mids = [], []
+        for lo, hi in zip(self.breakpoints[:-1], self.breakpoints[1:]):
+            n = max(1, round(self.samples * (hi - lo)))
+            h = (hi - lo) / n
+            hs.append(np.full(n, h))
+            mids.append(lo + (np.arange(n) + 0.5) * h)
+        h, mid = np.concatenate(hs), np.concatenate(mids)
+        off = h / (2.0 * math.sqrt(3.0))
+        return h, np.stack([mid - off, mid + off], axis=1)
 
 
 def lambda_circle(
@@ -85,7 +84,7 @@ def lambda_circle(
     def vel(t: float) -> Tuple[complex, complex]:
         return (2j * np.pi * radius * np.exp(2j * np.pi * t), 0.0)
 
-    return LoopPath(parameterization=param, samples=samples, closed=True, velocity=vel)
+    return LoopPath(point_at=param, velocity_at=vel, samples=samples)
 
 
 def polygon_loop(
@@ -116,10 +115,10 @@ def polygon_loop(
         return (n * (p1.lam - p0.lam), n * (p1.mu - p0.mu))
 
     return LoopPath(
-        parameterization=param,
+        point_at=param,
+        velocity_at=vel,
         samples=samples_per_side * n,
         closed=closed,
-        velocity=vel,
         breakpoints=bps,
     )
 
@@ -144,52 +143,45 @@ def square_loop(
 class HolonomyResult:
     w: np.ndarray
     path_length: float
-    algebra_dim: Optional[int] = None
 
 
-def transport(loop: LoopPath, m: int, steps: Optional[int] = None) -> np.ndarray:
-    """RK4 transport along the full path; one polar projection at the end.
+def transport(loop: LoopPath, m: int) -> np.ndarray:
+    """Fourth-order Gauss-Magnus transport along the full path; one polar
+    projection at the end.
 
-    Velocity lookups are nudged off exact breakpoints (by 1e-9 of the piece
-    length, toward the interior) so a stage landing on a corner uses the
-    velocity of the side it belongs to.
+    Every step exponentiates Omega = -h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1]
+    from the one-form at its two Gauss nodes, all steps through one batched
+    `eigh` of i Omega.  The polar projection removes the roundoff that the
+    product of many steps accumulates, which would otherwise reach the
+    logarithm of a small loop.  Raises FloatingPointError when a step's
+    i Omega has an eigenvalue of magnitude pi or more (or not finite): such
+    a step lies outside the Magnus convergence radius, and more samples are
+    needed.
     """
-    total = steps or loop.samples
+    h, a = loop_one_form(loop, m)
+    a1, a2 = a[:, 0], a[:, 1]
+    hh = h[:, None, None]
+    omega = -0.5 * hh * (a1 + a2) + (math.sqrt(3.0) / 12.0) * hh * hh * (a2 @ a1 - a1 @ a2)
+    # scipy's eigh, not numpy's: perfbench's tracer books every
+    # numpy.linalg.eigh call to the Fock layer.  LAPACK does not see NaN (it
+    # returns zero eigenvalues), so Omega is checked next to the radius.
+    evals, vecs = eigh(1j * omega, overwrite_a=True, check_finite=False)
+    if not (np.isfinite(omega).all() and np.all(np.abs(evals) < math.pi)):
+        raise FloatingPointError(
+            f"transport step outside the Magnus convergence radius at {loop.samples} samples"
+        )
+    steps = (vecs * np.exp(-1j * evals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
     w = np.eye(m, dtype=complex)
-    bps = loop.breakpoints
-    for i in range(len(bps) - 1):
-        lo, hi = bps[i], bps[i + 1]
-        span = hi - lo
-        n = max(1, round(total * span))
-        h = span / n
-        tiny = span * 1e-9
-
-        def rhs(t: float, mat: np.ndarray) -> np.ndarray:
-            tv = min(max(t, lo + tiny), hi - tiny)
-            p = loop.point_at(tv)
-            dlam, dmu = loop.velocity_at(tv)
-            a = contract_one_form(connection_closed(p, m), dlam, dmu)
-            return -(a @ mat)
-
-        for k in range(n):
-            t = lo + k * h
-            k1 = rhs(t, w)
-            k2 = rhs(t + h / 2, w + (h / 2) * k1)
-            k3 = rhs(t + h / 2, w + (h / 2) * k2)
-            k4 = rhs(t + h, w + h * k3)
-            w = w + (h / 6) * (k1 + 2 * k2 + 2 * k3 + k4)
+    for step in steps:
+        w = step @ w
     uu, _, vh = np.linalg.svd(w)
     return uu @ vh
 
 
 def _path_length(loop: LoopPath) -> float:
-    n = max(loop.samples, 16)
-    acc = 0.0
-    for k in range(n):
-        t = (k + 0.5) / n
-        dlam, dmu = loop.velocity_at(t)
-        acc += math.sqrt(abs(dlam) ** 2 + abs(dmu) ** 2)
-    return acc / n
+    h, nodes = loop.gauss_steps()
+    speed = [math.hypot(*map(abs, loop.velocity_at(t))) for t in nodes.ravel()]
+    return float(0.5 * np.dot(np.repeat(h, 2), speed))
 
 
 def parallel_transport(loop: LoopPath, m: int) -> HolonomyResult:

@@ -123,6 +123,17 @@ def test_bad_config_exit_codes(tmp_path, capsys):
     assert main(["connection", "--m", "2", "--grid", "/missing.json"]) == 2
     assert main(["holonomy", "--loop", "/missing.json"]) == 2
     capsys.readouterr()
+    empty = tmp_path / "empty.json"
+    empty.write_text("[]")
+    for argv in (
+        ["verify", "--grid", str(empty)],
+        ["connection", "--grid", str(empty)],
+        ["connection", "--grid", str(empty), "--format", "csv"],
+    ):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        assert f"grid {str(empty)!r} holds no points" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
@@ -134,6 +145,9 @@ def test_numerical_failure_exit_code(tmp_path, capsys):
         ["curvature", "--mu", "400"],
         ["curvature", "--mu", "400", "--format", "csv"],
         ["chern", "--mu", "400"],
+        # transport steps outside the Magnus convergence radius
+        ["holonomy", "--mu", "40", "--samples", "64"],
+        ["holonomy", "--m", "3", "--mu", "8"],
     ):
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 3, argv

@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 from berry_holonomy import (
     ClosureNotStabilized,
     ParameterPoint,
+    berry_phase_diagonal,
     holonomy_algebra_dimension,
     lambda_circle,
     parallel_transport,
@@ -20,16 +21,6 @@ CENTERS = (
     ParameterPoint(0.32 + 0.21j, 0.43 + 0.14j),
     ParameterPoint(0.25 - 0.15j, 0.52 + 0.33j),
 )
-
-
-def test_circle_velocity_consistency():
-    loop = lambda_circle(0.7, mu=0.1j, samples=256)
-    analytic = loop.velocity_at(0.3)
-    loop_fd = lambda_circle(0.7, mu=0.1j, samples=256)
-    loop_fd.velocity = None
-    approx = loop_fd.velocity_at(0.3)
-    assert abs(analytic[0] - approx[0]) < 1e-6
-    assert abs(analytic[1] - approx[1]) < 1e-12
 
 
 def test_polygon_breakpoints_and_velocity():
@@ -77,6 +68,27 @@ def test_transport_unitary(m, r):
     loop = lambda_circle(r, mu=0.15j, samples=128)
     w = transport(loop, m)
     assert np.abs(w @ w.conj().T - np.eye(m)).max() < 1e-12
+
+
+def test_polygon_phases_trace_identity():
+    """det W = exp(-oint tr A), so the abelian phases sum to -arg det W
+    (mod 2 pi).  mu varies along the sides, so the corners matter."""
+    verts = [
+        ParameterPoint(0.3 + 0.1j, 0.2),
+        ParameterPoint(-0.2 + 0.3j, 0.4 - 0.1j),
+        ParameterPoint(-0.1 - 0.3j, -0.3 + 0.2j),
+        ParameterPoint(0.25 - 0.2j, 0.1 - 0.35j),
+    ]
+    loop = polygon_loop(verts, samples_per_side=256)
+    w = parallel_transport(loop, 3).w
+    total = berry_phase_diagonal(loop, 3).sum() + np.angle(np.linalg.det(w))
+    assert abs((total + np.pi) % (2 * np.pi) - np.pi) < 1e-9
+
+
+def test_holonomy_converges_at_large_mu():
+    w_coarse = transport(lambda_circle(0.5, mu=6.0, samples=1024), 3)
+    w_fine = transport(lambda_circle(0.5, mu=6.0, samples=4096), 3)
+    assert np.abs(w_coarse - w_fine).max() < 1e-8
 
 
 def test_open_loop_rejected():
