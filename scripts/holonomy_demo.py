@@ -10,7 +10,6 @@ import numpy as np
 
 from berry_holonomy import (
     ParameterPoint,
-    berry_phase_diagonal,
     lambda_circle,
     parallel_transport,
     small_loop_check,
@@ -28,8 +27,8 @@ def main() -> None:
     print(f"lam-circle phases (m = {m}, {args.samples} samples)")
     for r in (0.5, 1.0):
         loop = lambda_circle(r, mu=0.3j, samples=args.samples)
-        phases = berry_phase_diagonal(loop, m)
         result = parallel_transport(loop, m)
+        phases = result.diagonal_phases
         defect = float(
             np.abs(result.w @ result.w.conj().T - np.eye(m)).max()
         )

@@ -8,12 +8,10 @@ expression.
 __version__ = "0.1.0"
 
 from .connection import (
-    ConnectionCoeffs,
     ConnectionMatrices,
-    MaurerCartanCoeffs,
-    berry_phase_diagonal,
     connection_closed,
     contract_one_form,
+    loop_one_form,
 )
 from .curvature import (
     COMPONENT_KEYS,
@@ -72,7 +70,6 @@ from .numeric import (
     convergence_report,
     curvature_from_components,
     curvature_numeric,
-    default_dim,
     derivative_identity_report,
     global_form_check,
     wirtinger_derivative,

@@ -9,6 +9,8 @@ Subcommands:
   irreducibility  holonomy-algebra and curvature-span dimensions
   chern           trace forms entering second-character integrands
 
+Each subcommand accepts only the settings it reads (`Command.settings`), as
+flags and as `--config` file keys.
 Complex values on the command line use `a+bi` notation ("0.5", "0.5+0.25i",
 "-0.3i").  JSON output is canonical: keys sorted, compact separators, complex
 numbers as [re, im] pairs, matrices row-major.  Everything that can vary
@@ -38,7 +40,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .connection import berry_phase_diagonal, connection_closed
+from .connection import connection_closed
 from .curvature import (
     COMPONENT_KEYS,
     COMPONENT_NAMES,
@@ -131,8 +133,8 @@ def grid_points(name_or_path: str) -> List[ParameterPoint]:
 
 
 def _dim(text) -> int:
-    # "auto" is a fixed 128; `numeric.default_dim` would pick 64 on the
-    # default grid, where the oracle misses the verify gates
+    # "auto" is a fixed 128: at D=64 the oracle misses the verify gates on
+    # the default grid
     return 128 if text == "auto" else int(text)
 
 
@@ -148,6 +150,16 @@ SETTINGS = (
     ("format", str, "json", "json or csv"),
     ("tolerance", float, None, "override check tolerances"),
 )
+
+# key -> (test a parsed value must pass, error message with {} for the value)
+LIMITS = {
+    "m": (lambda v: v >= 1, "m must be positive"),
+    "dim": (lambda v: v >= 2, "dim must be at least 2"),
+    "step": (lambda v: 1e-8 <= v <= 1e-2, "step size out of the supported range"),
+    "samples": (lambda v: v >= 4, "samples must be at least 4"),
+    "format": (lambda v: v in ("json", "csv"), "unknown format {!r}"),
+    "tolerance": (math.isfinite, "tolerance must be finite"),
+}
 
 
 def load_config_file(path: str) -> Dict[str, str]:
@@ -167,32 +179,27 @@ def load_config_file(path: str) -> Dict[str, str]:
 
 
 def build_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Each setting from its flag, else the --config file, else its default."""
+    """Each setting the command reads from its flag, else the --config file,
+    else its default; a file key the command does not read is an error."""
+    keys = COMMANDS[args.command].settings
     file_cfg = load_config_file(args.config) if args.config else {}
     for key in file_cfg:
-        if key not in {s[0] for s in SETTINGS}:
+        if key not in keys:
             raise ConfigError(f"unknown config key {key!r}")
     cfg = argparse.Namespace()
     for key, parse, default, _ in SETTINGS:
+        if key not in keys:
+            continue
         val = getattr(args, key)
         if val is None:
             val = file_cfg.get(key, default)
         try:
-            setattr(cfg, key, None if val is None else parse(val))
+            val = None if val is None else parse(val)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
-    if cfg.m < 1:
-        raise ConfigError("m must be positive")
-    if cfg.dim < 2:
-        raise ConfigError("dim must be at least 2")
-    if cfg.samples < 4:
-        raise ConfigError("samples must be at least 4")
-    if cfg.format not in ("json", "csv"):
-        raise ConfigError(f"unknown format {cfg.format!r}")
-    if not (1e-8 <= cfg.step <= 1e-2):
-        raise ConfigError("step size out of the supported range")
-    if cfg.tolerance is not None and not math.isfinite(cfg.tolerance):
-        raise ConfigError("tolerance must be finite")
+        if val is not None and key in LIMITS and not LIMITS[key][0](val):
+            raise ConfigError(LIMITS[key][1].format(val))
+        setattr(cfg, key, val)
     return cfg
 
 
@@ -210,6 +217,14 @@ def _all_finite(obj) -> bool:
     return not isinstance(obj, float) or math.isfinite(obj)
 
 
+def _batch(points: Sequence[ParameterPoint]) -> ParameterPoint:
+    """The points as one batch for the closed forms."""
+    return ParameterPoint(
+        np.array([p.lam for p in points], dtype=complex),
+        np.array([p.mu for p in points], dtype=complex),
+    )
+
+
 def _csv_text(rows: List[Dict[str, float]]) -> str:
     if not rows:
         return "\n"
@@ -225,15 +240,17 @@ def _sweep(
     args: argparse.Namespace,
     cfg: argparse.Namespace,
 ):
-    """--lambda/--mu or a grid: each point's named matrices become one JSON
-    entry or one CSV row."""
+    """--lambda/--mu or a grid, evaluated in one batch: `fields` returns
+    named stacks of matrices, and each point's slice becomes one JSON entry
+    or one CSV row."""
     if args.lam is None and args.mu is None:
         points = grid_points(cfg.grid or "default")
     else:
         points = [ParameterPoint(_complex_arg(args, "lam", 0.0), _complex_arg(args, "mu", 0.0))]
+    stacked = fields(_batch(points), cfg.m)
     entries = []
-    for p in points:
-        named = fields(p, cfg.m)
+    for k, p in enumerate(points):
+        named = [(name, mats[k]) for name, mats in stacked]
         if cfg.format == "csv":
             entry = {
                 "lambda.re": p.lam.real,
@@ -275,27 +292,28 @@ def _verify(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
         t = cfg.tolerance if cfg.tolerance is not None else default_tol
         return {key: dev, "tolerance": t, "passed": bool(dev < t), **extra}
 
+    batch = _batch(points)
+    conn = connection_closed(batch, m)
+    curv = curvature_closed(batch, m)
+    wedge = f_squared_from_wedge(curv)
     conn_dev = conn_est = pair_dev = formula_dev = 0.0
     per_component: Dict[str, float] = {}
-    for p in points:
-        closed = connection_closed(p, m)
+    for i, p in enumerate(points):
         oracle = connection_numeric(p, m, space, plan)
         conn_dev = max(
             conn_dev,
-            float(np.abs(closed.a_lambda - oracle.a_lambda).max()),
-            float(np.abs(closed.a_mu - oracle.a_mu).max()),
+            float(np.abs(conn.a_lambda[i] - oracle.a_lambda).max()),
+            float(np.abs(conn.a_mu[i] - oracle.a_mu).max()),
         )
         conn_est = max(conn_est, oracle.estimated_error)
 
-        closed = curvature_closed(p, m)
         oracle = curvature_numeric(p, m, space, plan)
         for k in COMPONENT_KEYS:
             name = COMPONENT_NAMES[k]
-            dev = float(np.abs(closed.components[k] - oracle.components[k]).max())
+            dev = float(np.abs(curv.components[k][i] - oracle.components[k]).max())
             per_component[name] = max(per_component.get(name, 0.0), dev)
-        w_closed = f_squared_from_wedge(closed)
-        pair_dev = max(pair_dev, float(np.abs(w_closed - f_squared_from_wedge(oracle)).max()))
-        formula_dev = max(formula_dev, float(np.abs(w_closed - f_squared(p.mu, m)).max()))
+        pair_dev = max(pair_dev, float(np.abs(wedge[i] - f_squared_from_wedge(oracle)).max()))
+        formula_dev = max(formula_dev, float(np.abs(wedge[i] - f_squared(p.mu, m)).max()))
 
     n = len(points)
     curv_dev = max(per_component.values())
@@ -347,13 +365,12 @@ def _load_loop(args: argparse.Namespace, cfg: argparse.Namespace):
 def _holonomy(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
     loop = _load_loop(args, cfg)
     result = parallel_transport(loop, cfg.m)
-    phases = berry_phase_diagonal(loop, cfg.m)
     return {
         "m": cfg.m,
         "samples": cfg.samples,
         "w": matrix_payload(result.w),
         "path_length": result.path_length,
-        "diagonal_phases": [float(x) for x in phases],
+        "diagonal_phases": [float(x) for x in result.diagonal_phases],
     }
 
 
@@ -404,30 +421,42 @@ class Command(NamedTuple):
     help: str
     # (args, config) -> JSON payload, or CSV rows when the format is csv
     handler: Callable[[argparse.Namespace, argparse.Namespace], object]
-    csv: bool = False
+    settings: Tuple[str, ...]  # the SETTINGS keys the handler reads
     flags: Tuple[Tuple[str, str, str], ...] = ()  # (flag, dest, help)
 
 
 POINT_FLAGS = (("--lambda", "lam", "lam as a+bi"), ("--mu", "mu", "mu as a+bi"))
+SWEEP_SETTINGS = ("m", "grid", "out", "format")
 
 COMMANDS = {
     "connection": Command(
-        "closed-form connection matrices", partial(_sweep, _connection_fields), True, POINT_FLAGS
+        "closed-form connection matrices",
+        partial(_sweep, _connection_fields),
+        SWEEP_SETTINGS,
+        POINT_FLAGS,
     ),
     "curvature": Command(
-        "closed-form curvature components", partial(_sweep, _curvature_fields), True, POINT_FLAGS
+        "closed-form curvature components",
+        partial(_sweep, _curvature_fields),
+        SWEEP_SETTINGS,
+        POINT_FLAGS,
     ),
-    "verify": Command("closed forms against the oracle", _verify),
+    "verify": Command(
+        "closed forms against the oracle",
+        _verify,
+        ("m", "dim", "step", "grid", "out", "tolerance"),
+    ),
     "holonomy": Command(
         "transport around a loop",
         _holonomy,
-        flags=(
+        ("m", "samples", "out"),
+        (
             ("--loop", "loop", "JSON file of [lam, mu] vertices"),
             ("--mu", "mu", "fixed mu for the default circle"),
         ),
     ),
-    "irreducibility": Command("holonomy algebra dimension", _irreducibility),
-    "chern": Command("trace forms of the curvature square", _chern, flags=POINT_FLAGS[1:]),
+    "irreducibility": Command("holonomy algebra dimension", _irreducibility, ("m", "out")),
+    "chern": Command("trace forms of the curvature square", _chern, ("m", "out"), POINT_FLAGS[1:]),
 }
 
 
@@ -442,7 +471,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name, cmd in COMMANDS.items():
         p = sub.add_parser(name, help=cmd.help)
         for key, _, _, help_text in SETTINGS:
-            p.add_argument(f"--{key}", help=help_text)
+            if key in cmd.settings:
+                p.add_argument(f"--{key}", help=help_text)
         p.add_argument("--config", help="key = value config file")
         for flag, dest, help_text in cmd.flags:
             p.add_argument(flag, dest=dest, help=help_text)
@@ -453,14 +483,12 @@ def run(args: argparse.Namespace) -> int:
     """Run one parsed command line: write {meta, payload} JSON or CSV rows to
     --out or stdout; exit 1 when the payload reports `passed: false`."""
     started = time.monotonic()
-    cmd = COMMANDS[args.command]
     cfg = build_config(args)
-    if cfg.format == "csv" and not cmd.csv:
-        raise ConfigError("csv output is not supported for this command")
-    result = cmd.handler(args, cfg)
+    result = COMMANDS[args.command].handler(args, cfg)
     if not _all_finite(result):
         raise FloatingPointError("non-finite result")
-    if cfg.format == "csv":
+    as_csv = getattr(cfg, "format", "json") == "csv"
+    if as_csv:
         text = _csv_text(result)
     else:
         doc = {
@@ -476,7 +504,7 @@ def run(args: argparse.Namespace) -> int:
             fh.write(text)
     else:
         sys.stdout.write(text)
-    return 1 if cfg.format == "json" and result.get("passed") is False else 0
+    return 1 if not as_csv and result.get("passed") is False else 0
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

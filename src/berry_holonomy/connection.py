@@ -16,14 +16,20 @@ the number basis:
     beta  = (conj(mu)^2 / 4) (cosh|mu| sinh|mu| / |mu| - 1) / |mu|^2
     gamma = (1 + cosh|mu| sinh|mu| / |mu|) / 4.
 
+Every function here is array-valued: a ParameterPoint whose lam and mu are
+arrays (of one shape, or broadcastable) is a batch of points, and the
+matrices come back stacked with shape (..., m, m).  A scalar point gives
+plain m x m matrices.  `loop_one_form` evaluates a whole loop in one call.
+
 All scalar profiles are even or odd in |mu| and analytic at mu = 0; below
-|mu| = 1e-4 they switch to Taylor series to avoid 0/0.
+|mu| = 1e-4 they take a Taylor series instead, chosen per entry by
+`np.where`.  The direct formula never sees those small arguments, so it
+never divides 0/0.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Tuple
+from typing import Callable, Tuple
 
 import numpy as np
 
@@ -32,92 +38,45 @@ from .family import ParameterPoint
 SERIES_SWITCH = 1e-4
 
 
-def sinhc(x: float) -> float:
+def _profile(x, series: Callable, direct: Callable):
+    """series(x^2) below SERIES_SWITCH, direct(x) elsewhere, entry by entry;
+    a scalar x gives a numpy scalar."""
+    x = np.asarray(x, dtype=float)
+    small = x < SERIES_SWITCH
+    return np.where(small, series(x * x), direct(np.where(small, 1.0, x)))[()]
+
+
+def sinhc(x):
     """sinh(x)/x, extended by its Taylor series near zero."""
-    if x < SERIES_SWITCH:
-        x2 = x * x
-        return 1.0 + x2 / 6.0 + x2 * x2 / 120.0
-    return math.sinh(x) / x
+    return _profile(x, lambda x2: 1.0 + x2 / 6.0 + x2 * x2 / 120.0, lambda x: np.sinh(x) / x)
 
 
-def cosh_sinh_over(x: float) -> float:
+def cosh_sinh_over(x):
     """cosh(x) sinh(x)/x near zero behaves as 1 + 2x^2/3 + 2x^4/15."""
-    if x < SERIES_SWITCH:
-        x2 = x * x
-        return 1.0 + 2.0 * x2 / 3.0 + 2.0 * x2 * x2 / 15.0
-    return math.cosh(x) * math.sinh(x) / x
+    return _profile(
+        x,
+        lambda x2: 1.0 + 2.0 * x2 / 3.0 + 2.0 * x2 * x2 / 15.0,
+        lambda x: np.cosh(x) * np.sinh(x) / x,
+    )
 
 
-def tanhc(x: float) -> float:
+def tanhc(x):
     """tanh(x)/x; series 1 - x^2/3 + 2x^4/15."""
-    if x < SERIES_SWITCH:
-        x2 = x * x
-        return 1.0 - x2 / 3.0 + 2.0 * x2 * x2 / 15.0
-    return math.tanh(x) / x
+    return _profile(x, lambda x2: 1.0 - x2 / 3.0 + 2.0 * x2 * x2 / 15.0, lambda x: np.tanh(x) / x)
 
 
-def csm1_over_x2(x: float) -> float:
+def csm1_over_x2(x):
     """(cosh(x) sinh(x)/x - 1)/x^2; series 2/3 + 2x^2/15 + 4x^4/315.
 
     The subtraction loses ~8 digits at x = 1e-4 if evaluated directly, so
     the series branch is mandatory there; the absolute error it leaves is
     harmless because every use multiplies by mu^2 or conj(mu)^2.
     """
-    if x < SERIES_SWITCH:
-        x2 = x * x
-        return 2.0 / 3.0 + 2.0 * x2 / 15.0 + 4.0 * x2 * x2 / 315.0
-    return (math.cosh(x) * math.sinh(x) / x - 1.0) / (x * x)
-
-
-@dataclass(frozen=True)
-class ConnectionCoeffs:
-    """Scalar profiles of the mu-leg of the connection at a given mu."""
-
-    alpha: complex
-    beta: complex
-    gamma: complex
-    zeta: complex
-
-    @staticmethod
-    def at(mu: complex) -> "ConnectionCoeffs":
-        x = abs(mu)
-        s = sinhc(x)
-        return ConnectionCoeffs(
-            alpha=0.5 * np.conj(mu) * s * s,
-            beta=0.25 * np.conj(mu) ** 2 * csm1_over_x2(x),
-            gamma=0.25 * (1.0 + cosh_sinh_over(x)),
-            zeta=mu * tanhc(x),
-        )
-
-
-@dataclass(frozen=True)
-class MaurerCartanCoeffs:
-    """Operator-basis expansion of U+ dU restricted to the vacuum block.
-
-    c_id, c_adag, c_a multiply 1, a+, a in the lam-leg; c_adag2, c_k3, c_a2
-    multiply (a+)^2/2, (a+a + aa+)/4... the same combinations that produce
-    the tridiagonal/pentadiagonal matrices below.
-    """
-
-    c_id: complex
-    c_adag: complex
-    c_a: complex
-    c_adag2: complex
-    c_k3: complex
-    c_a2: complex
-
-    @staticmethod
-    def at(p: ParameterPoint) -> "MaurerCartanCoeffs":
-        x = abs(p.mu)
-        cc = ConnectionCoeffs.at(p.mu)
-        return MaurerCartanCoeffs(
-            c_id=0.5 * np.conj(p.lam),
-            c_adag=math.cosh(x),
-            c_a=np.conj(p.mu) * sinhc(x),
-            c_adag2=cc.gamma,
-            c_k3=cc.alpha,
-            c_a2=cc.beta,
-        )
+    return _profile(
+        x,
+        lambda x2: 2.0 / 3.0 + 2.0 * x2 / 15.0 + 4.0 * x2 * x2 / 315.0,
+        lambda x: (np.cosh(x) * np.sinh(x) / x - 1.0) / (x * x),
+    )
 
 
 @dataclass
@@ -129,54 +88,44 @@ class ConnectionMatrices:
 
 
 def connection_closed(p: ParameterPoint, m: int) -> ConnectionMatrices:
-    """Closed-form A_lam, A_mu as m x m matrices in the vacuum frame."""
+    """Closed-form A_lam, A_mu in the vacuum frame, shape (..., m, m) for a
+    batch of points."""
     if m < 1:
         raise ValueError("m must be positive")
-    mc = MaurerCartanCoeffs.at(p)
-    a_lam = np.zeros((m, m), dtype=complex)
-    a_mu = np.zeros((m, m), dtype=complex)
-    for i in range(m):
-        a_lam[i, i] = mc.c_id
-        a_mu[i, i] = (0.5 + i) * mc.c_k3
-    for i in range(m - 1):
-        w = math.sqrt(i + 1.0)
-        a_lam[i + 1, i] = w * mc.c_adag
-        a_lam[i, i + 1] = w * mc.c_a
-    for j in range(m - 2):
-        w = math.sqrt((j + 1.0) * (j + 2.0))
-        a_mu[j + 2, j] = w * mc.c_adag2
-        a_mu[j, j + 2] = w * mc.c_a2
+    lam, mu = np.broadcast_arrays(
+        np.asarray(p.lam, dtype=complex), np.asarray(p.mu, dtype=complex)
+    )
+    x = np.abs(mu)
+    s = sinhc(x)
+    col = lambda z: np.asarray(z)[..., None]
+    i = np.arange(m)
+    w1 = np.sqrt(i[1:] * 1.0)
+    w2 = np.sqrt((i[: m - 2] + 1.0) * (i[: m - 2] + 2.0))
+    a_lam = np.zeros(lam.shape + (m, m), dtype=complex)
+    a_mu = np.zeros(lam.shape + (m, m), dtype=complex)
+    a_lam[..., i, i] = col(0.5 * np.conj(lam))
+    a_lam[..., i[1:], i[:-1]] = w1 * col(np.cosh(x))
+    a_lam[..., i[:-1], i[1:]] = w1 * col(np.conj(mu) * s)
+    a_mu[..., i, i] = (0.5 + i) * col(0.5 * np.conj(mu) * s * s)
+    a_mu[..., i[2:], i[:-2]] = w2 * col(0.25 * (1.0 + cosh_sinh_over(x)))
+    a_mu[..., i[:-2], i[2:]] = w2 * col(0.25 * np.conj(mu) ** 2 * csm1_over_x2(x))
     return ConnectionMatrices(a_lambda=a_lam, a_mu=a_mu, point=p, m=m)
 
 
-def contract_one_form(cm: ConnectionMatrices, dlam: complex, dmu: complex) -> np.ndarray:
-    """A(v) for tangent v = (dlam, dmu); conjugate legs enter as -A+, so
-    A(v) = X - X+ with X = A_lam dlam + A_mu dmu."""
-    out = cm.a_lambda * dlam + cm.a_mu * dmu
-    return out - out.conj().T
+def contract_one_form(cm: ConnectionMatrices, dlam, dmu) -> np.ndarray:
+    """A(v) for tangents v = (dlam, dmu), one per point of the batch;
+    conjugate legs enter as -A+, so A(v) = X - X+ with
+    X = A_lam dlam + A_mu dmu."""
+    cell = lambda z: np.asarray(z)[..., None, None]
+    out = cm.a_lambda * cell(dlam) + cm.a_mu * cell(dmu)
+    return out - np.swapaxes(out, -1, -2).conj()
 
 
 def loop_one_form(loop, m: int) -> Tuple[np.ndarray, np.ndarray]:
     """Step lengths h, shape (steps,), and the contracted one-form
     A(gamma') at the two Gauss nodes of every step of `loop.gauss_steps()`,
-    shape (steps, 2, m, m).  Every loop integral sums over these nodes."""
+    shape (steps, 2, m, m), from one batched evaluation.  Every loop
+    integral sums over these nodes."""
     h, nodes = loop.gauss_steps()
-    a = [
-        contract_one_form(connection_closed(loop.point_at(t), m), *loop.velocity_at(t))
-        for t in nodes.ravel()
-    ]
-    return h, np.reshape(a, nodes.shape + (m, m))
-
-
-def berry_phase_diagonal(loop, m: int) -> np.ndarray:
-    """Abelian phases: Im of the diagonal of the contracted one-form,
-    integrated around a closed loop by the two-point Gauss rule.
-
-    For a lam-circle of radius r at mu = 0 every diagonal entry gives
-    2 pi r^2 regardless of m.  The nodes are the ones `transport` uses, so
-    the phases sum to -arg det W (mod 2 pi) up to rounding.
-    """
-    if not loop.closed:
-        raise ValueError("loop must be closed")
-    h, a = loop_one_form(loop, m)
-    return 0.5 * np.einsum("s,snii->i", h, a).imag
+    cm = connection_closed(loop.point_at(nodes), m)
+    return h, contract_one_form(cm, *loop.velocity_at(nodes))

@@ -8,7 +8,9 @@ the real four-dimensional parameter space, in the fixed order
 and every component is a combination of six fixed m x m matrices: the
 truncated ladder pair E, F = E+, the top projector K = e_{m-1,m-1}, the
 two-level projector L = K + e_{m-2,m-2}, and the products EK, KF.  The
-scalar weights depend only on mu.  Two structural identities hold exactly:
+scalar weights depend only on mu, and, as in `connection`, a batch of
+points gives stacked (..., m, m) components.  Two structural identities
+hold exactly:
 C_lamlamb = -m K, and the hermiticity pairings C_lamlamb+ = C_lamlamb,
 C_mumub+ = C_mumub, C_lambmub = -C_lammu+, C_mulamb = C_lammub+.
 
@@ -95,26 +97,36 @@ class CurvatureForm:
 
 
 def curvature_closed(p: ParameterPoint, m: int) -> CurvatureForm:
+    """The six components at p, each of shape (..., m, m) for a batch of
+    points."""
     if m < 1:
         raise ValueError("m must be positive")
     b = _basis(m)
-    mu = p.mu
-    x = abs(mu)
-    c = math.cosh(x)
+    lam, mu = np.broadcast_arrays(
+        np.asarray(p.lam, dtype=complex), np.asarray(p.mu, dtype=complex)
+    )
+    x = np.abs(mu)
+    c = np.cosh(x)
     cs_x = cosh_sinh_over(x)
-    em1 = x * x * csm1_over_x2(x)  # cosh sinh / x - 1, safe at x = 0
+    q = csm1_over_x2(x)
+    s = sinhc(x)
+    em1 = x * x * q  # cosh sinh / x - 1, safe at x = 0
     mb = np.conj(mu)
-    f_mb2 = mb * mb * csm1_over_x2(x)
-    f_mb = mb * sinhc(x)
-    f_m = mu * sinhc(x)
-    f_m2 = mu * mu * csm1_over_x2(x)
+    f_mb2 = mb * mb * q
+    f_mb = mb * s
+    f_m = mu * s
+    f_m2 = mu * mu * q
+    cell = lambda z: np.asarray(z)[..., None, None]
+    ch = cell(m * (c / 4.0) * (1.0 + cs_x))
     comp = {
-        "lm": m * (f_mb2 * c / 4.0) * b.EK - m * (f_mb / 4.0) * (1.0 + cs_x) * b.KF,
-        "llb": -m * b.K,
-        "lmb": -(m * (c / 4.0) * (1.0 + cs_x) * b.EK - m * (f_m / 4.0) * em1 * b.KF),
-        "mlb": -(-m * (f_mb / 4.0) * em1 * b.EK + m * (c / 4.0) * (1.0 + cs_x) * b.KF),
-        "mmb": -((m / 2.0) * cs_x * b.K + (m * (m - 1) / 4.0) * cs_x * b.L),
-        "lbmb": -(-m * (f_m / 4.0) * (1.0 + cs_x) * b.EK + m * (f_m2 * c / 4.0) * b.KF),
+        "lm": cell(m * (f_mb2 * c / 4.0)) * b.EK - cell(m * (f_mb / 4.0) * (1.0 + cs_x)) * b.KF,
+        "llb": np.broadcast_to(-m * b.K, lam.shape + (m, m)).copy(),
+        "lmb": -(ch * b.EK - cell(m * (f_m / 4.0) * em1) * b.KF),
+        "mlb": -(cell(-m * (f_mb / 4.0) * em1) * b.EK + ch * b.KF),
+        "mmb": -(cell((m / 2.0) * cs_x) * b.K + cell((m * (m - 1) / 4.0) * cs_x) * b.L),
+        "lbmb": -(
+            cell(-m * (f_m / 4.0) * (1.0 + cs_x)) * b.EK + cell(m * (f_m2 * c / 4.0)) * b.KF
+        ),
     }
     return CurvatureForm(components=comp, point=p, m=m)
 

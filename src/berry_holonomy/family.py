@@ -23,6 +23,9 @@ from .reports import SpectrumReport
 
 @dataclass(frozen=True)
 class ParameterPoint:
+    """A point (lam, mu); arrays of one shape make it a batch of points for
+    the closed forms."""
+
     lam: complex
     mu: complex
 

@@ -4,8 +4,11 @@ Transport solves W'(t) = -A(gamma(t); gamma'(t)) W(t) with the
 fourth-order two-point Gauss-Magnus rule (Iserles & Norsett 1999; Blanes,
 Casas, Oteo & Ros 2009) and restores exact unitarity by one polar
 projection at the end.  `LoopPath.gauss_steps` places the nodes of every
-loop integral (transport, the abelian phases of `berry_phase_diagonal`, the
-path length) strictly inside the loop's smooth pieces, never on a corner.
+loop integral strictly inside the loop's smooth pieces, never on a corner.
+A loop's `point_at` and `velocity_at` take arrays of t, so
+`connection.loop_one_form` evaluates the closed connection at all nodes in
+one call, and `parallel_transport` takes W, the abelian diagonal phases and
+the path length from that one evaluation.
 
 For a small coordinate square of side eps spanned by tangents (u, v),
 log W = -F(u, v) eps^2 + O(eps^3); halving eps divides the residual against
@@ -26,7 +29,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.linalg import eigh, logm
@@ -42,13 +45,14 @@ from .reports import IdentityReport
 class LoopPath:
     """A parameterized path in the (lam, mu) parameter space.
 
-    `point_at` maps t in [0, 1] to a ParameterPoint and `velocity_at` gives
-    its t-derivative (dlam, dmu).  `breakpoints` split [0, 1] into pieces
-    that are smooth inside (the sides of a polygon).
+    `point_at` maps an array of t in [0, 1] to a ParameterPoint whose lam
+    and mu broadcast to the shape of t, and `velocity_at` gives the
+    t-derivative (dlam, dmu) the same way.  `breakpoints` split [0, 1] into
+    pieces that are smooth inside (the sides of a polygon).
     """
 
-    point_at: Callable[[float], ParameterPoint]
-    velocity_at: Callable[[float], Tuple[complex, complex]]
+    point_at: Callable[[np.ndarray], ParameterPoint]
+    velocity_at: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
     samples: int
     closed: bool = True
     breakpoints: Tuple[float, ...] = (0.0, 1.0)
@@ -78,10 +82,10 @@ def lambda_circle(
     if radius <= 0:
         raise ValueError("radius must be positive")
 
-    def param(t: float) -> ParameterPoint:
+    def param(t) -> ParameterPoint:
         return ParameterPoint(center + radius * np.exp(2j * np.pi * t), mu)
 
-    def vel(t: float) -> Tuple[complex, complex]:
+    def vel(t) -> Tuple[np.ndarray, complex]:
         return (2j * np.pi * radius * np.exp(2j * np.pi * t), 0.0)
 
     return LoopPath(point_at=param, velocity_at=vel, samples=samples)
@@ -96,23 +100,26 @@ def polygon_loop(
     if len(verts) < 2:
         raise ValueError("need at least two vertices")
     pts = verts + [verts[0]] if closed else verts
+    lam = np.array([p.lam for p in pts], dtype=complex)
+    mu = np.array([p.mu for p in pts], dtype=complex)
     n = len(pts) - 1
     bps = tuple(i / n for i in range(n + 1))
 
-    def param(t: float) -> ParameterPoint:
-        if t >= 1.0:
-            return pts[-1]
-        i = min(int(t * n), n - 1)
-        s = t * n - i
-        p0, p1 = pts[i], pts[i + 1]
+    def side(t) -> Tuple[np.ndarray, np.ndarray]:
+        """Index of the side each t lies on, and the fraction along it."""
+        t = np.asarray(t, dtype=float)
+        i = np.minimum((t * n).astype(int), n - 1)
+        return i, t * n - i
+
+    def param(t) -> ParameterPoint:
+        i, s = side(t)
         return ParameterPoint(
-            p0.lam + s * (p1.lam - p0.lam), p0.mu + s * (p1.mu - p0.mu)
+            (1.0 - s) * lam[i] + s * lam[i + 1], (1.0 - s) * mu[i] + s * mu[i + 1]
         )
 
-    def vel(t: float) -> Tuple[complex, complex]:
-        i = min(int(t * n), n - 1)
-        p0, p1 = pts[i], pts[i + 1]
-        return (n * (p1.lam - p0.lam), n * (p1.mu - p0.mu))
+    def vel(t) -> Tuple[np.ndarray, np.ndarray]:
+        i, _ = side(t)
+        return (n * (lam[i + 1] - lam[i]), n * (mu[i + 1] - mu[i]))
 
     return LoopPath(
         point_at=param,
@@ -143,22 +150,26 @@ def square_loop(
 class HolonomyResult:
     w: np.ndarray
     path_length: float
+    diagonal_phases: np.ndarray
 
 
-def transport(loop: LoopPath, m: int) -> np.ndarray:
+def transport(
+    loop: LoopPath, m: int, *, one_form: Optional[Tuple[np.ndarray, np.ndarray]] = None
+) -> np.ndarray:
     """Fourth-order Gauss-Magnus transport along the full path; one polar
     projection at the end.
 
     Every step exponentiates Omega = -h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1]
     from the one-form at its two Gauss nodes, all steps through one batched
-    `eigh` of i Omega.  The polar projection removes the roundoff that the
-    product of many steps accumulates, which would otherwise reach the
+    `eigh` of i Omega; `one_form` is `loop_one_form(loop, m)` when the
+    caller has it already.  The polar projection removes the roundoff that
+    the product of many steps accumulates, which would otherwise reach the
     logarithm of a small loop.  Raises FloatingPointError when a step's
     i Omega has an eigenvalue of magnitude pi or more (or not finite): such
     a step lies outside the Magnus convergence radius, and more samples are
     needed.
     """
-    h, a = loop_one_form(loop, m)
+    h, a = loop_one_form(loop, m) if one_form is None else one_form
     a1, a2 = a[:, 0], a[:, 1]
     hh = h[:, None, None]
     omega = -0.5 * hh * (a1 + a2) + (math.sqrt(3.0) / 12.0) * hh * hh * (a2 @ a1 - a1 @ a2)
@@ -178,18 +189,24 @@ def transport(loop: LoopPath, m: int) -> np.ndarray:
     return uu @ vh
 
 
-def _path_length(loop: LoopPath) -> float:
-    h, nodes = loop.gauss_steps()
-    speed = [math.hypot(*map(abs, loop.velocity_at(t))) for t in nodes.ravel()]
-    return float(0.5 * np.dot(np.repeat(h, 2), speed))
-
-
 def parallel_transport(loop: LoopPath, m: int) -> HolonomyResult:
-    """Holonomy of a closed loop."""
+    """Holonomy W of a closed loop, its path length, and the abelian phases
+    Im oint A_ii, all summed over the nodes of one one-form evaluation.
+
+    For a lam-circle of radius r at mu = 0 every phase is 2 pi r^2
+    regardless of m; on any closed loop the phases sum to -arg det W
+    (mod 2 pi) up to rounding.
+    """
     if not loop.closed:
         raise ValueError("holonomy requires a closed loop")
-    w = transport(loop, m)
-    return HolonomyResult(w=w, path_length=_path_length(loop))
+    h, a = loop_one_form(loop, m)
+    _, nodes = loop.gauss_steps()
+    speed = np.hypot(*map(np.abs, loop.velocity_at(nodes)))
+    return HolonomyResult(
+        w=transport(loop, m, one_form=(h, a)),
+        path_length=float(0.5 * np.dot(np.repeat(h, 2), speed.ravel())),
+        diagonal_phases=0.5 * np.einsum("s,snii->i", h, a).imag,
+    )
 
 
 def small_loop_check(

@@ -88,23 +88,12 @@ class GeneralizedOracleConnection:
     h: float
 
 
-def default_dim(p: Union[ParameterPoint, GeneralizedPoint], m: int) -> int:
-    """Smallest power of two at or above the amplitude-driven floor."""
-    if isinstance(p, GeneralizedPoint):
-        amp2 = sum(abs(z) ** 2 for z in p.lambdas)
-    else:
-        amp2 = abs(p.lam) ** 2 + abs(p.mu) ** 2
-    floor = max(64, 16 * m, math.ceil(16.0 * (1.0 + amp2)))
-    return 1 << max(6, (floor - 1).bit_length())
-
-
-def _resolve(p, m: int, space: Optional[TruncatedSpace], plan: Optional[DifferentiationPlan]):
+def _resolve(m: int, space: TruncatedSpace, plan: Optional[DifferentiationPlan]):
     if m < 1:
         raise ValueError("m must be positive")
-    space = space or TruncatedSpace(default_dim(p, m))
     if m >= space.dim:
         raise ValueError("m must be smaller than the space dimension")
-    return space, plan or DifferentiationPlan()
+    return plan or DifferentiationPlan()
 
 
 def _frame_legs(p: ParameterPoint, m: int, space: TruncatedSpace, plan: DifferentiationPlan):
@@ -160,11 +149,11 @@ def _generalized_oracle(
 def connection_numeric(
     p: Union[ParameterPoint, GeneralizedPoint],
     m: int,
-    space: Optional[TruncatedSpace] = None,
+    space: TruncatedSpace,
     plan: Optional[DifferentiationPlan] = None,
 ):
     """Connection matrices A_a = V+ d_a V by direct differentiation of the frame."""
-    space, plan = _resolve(p, m, space, plan)
+    plan = _resolve(m, space, plan)
     if isinstance(p, GeneralizedPoint):
         return _generalized_oracle(p, m, space, plan)
     return _two_parameter_oracle(p, m, space, plan)
@@ -185,11 +174,11 @@ _CONJUGATE_LEG = {"l": "lb", "lb": "l", "m": "mb", "mb": "m"}
 def curvature_numeric(
     p: ParameterPoint,
     m: int,
-    space: Optional[TruncatedSpace] = None,
+    space: TruncatedSpace,
     plan: Optional[DifferentiationPlan] = None,
 ) -> CurvatureForm:
     """Curvature from first derivatives of the frame (see the module note)."""
-    space, plan = _resolve(p, m, space, plan)
+    plan = _resolve(m, space, plan)
     v, d = _frame_legs(p, m, space, plan)
     off_frame = {leg: dv - v @ (v.conj().T @ dv) for leg, dv in d.items()}
     comp = {
@@ -240,7 +229,7 @@ def curvature_from_components(
 def global_form_check(
     p: ParameterPoint,
     m: int,
-    space: Optional[TruncatedSpace] = None,
+    space: TruncatedSpace,
     plan: Optional[DifferentiationPlan] = None,
 ) -> IdentityReport:
     """Projector-level curvature against the frame-coordinate components.
@@ -252,7 +241,7 @@ def global_form_check(
     includes the orthogonal-complement block, which the frame form does not
     constrain, so it is reported but not expected to be small).
     """
-    space, plan = _resolve(p, m, space, plan)
+    plan = _resolve(m, space, plan)
 
     def proj_at(q: ParameterPoint) -> np.ndarray:
         v = vacuum_frame(q, m, space).matrix

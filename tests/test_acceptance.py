@@ -19,7 +19,6 @@ from berry_holonomy import (
     ParameterPoint,
     TruncatedSpace,
     bch_identity_report,
-    berry_phase_diagonal,
     connection_closed,
     connection_numeric,
     curvature_closed,
@@ -30,6 +29,7 @@ from berry_holonomy import (
     holonomy_algebra_dimension,
     lambda_circle,
     make_operators,
+    parallel_transport,
     small_loop_check,
     transported_curvature_dimension,
 )
@@ -192,7 +192,7 @@ def test_criterion_07_circle_phases():
     for m in (1, 2, 3, 4):
         for r in (0.5, 1.0):
             loop = lambda_circle(r, mu=0.0, samples=4096)
-            phases = berry_phase_diagonal(loop, m)
+            phases = parallel_transport(loop, m).diagonal_phases
             worst = max(worst, float(np.abs(phases - 2 * np.pi * r * r).max()))
     ok = worst < 1e-6
     _line(

@@ -118,7 +118,10 @@ def test_bad_config_exit_codes(tmp_path, capsys):
     assert main(["connection", "--lambda", "nope"]) == 2
     assert main(["connection", "--lambda", "nan"]) == 2
     assert main(["connection", "--mu", "inf"]) == 2
-    assert main(["verify", "--format", "csv"]) == 2
+    # verify has no --format flag: argparse rejects it with exit 2
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--format", "csv"])
+    assert exc.value.code == 2
     assert main(["verify", "--tolerance", "nan"]) == 2
     assert main(["connection", "--m", "2", "--grid", "/missing.json"]) == 2
     assert main(["holonomy", "--loop", "/missing.json"]) == 2
@@ -190,7 +193,7 @@ def test_csv_matches_json(command, tmp_path):
 
 def test_config_file_and_flag_override(tmp_path):
     cfg = tmp_path / "run.conf"
-    cfg.write_text("m = 3\nstep = 1e-4  # stencil\nformat = json\n")
+    cfg.write_text("m = 3\ngrid = small  # four points\nformat = json\n")
     code, doc = run(
         ["connection", "--config", str(cfg), "--lambda", "0", "--mu", "1"], tmp_path
     )
@@ -208,6 +211,24 @@ def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "run.conf"
     cfg.write_text("banana = 3\n")
     assert main(["connection", "--config", str(cfg)]) == 2
+    capsys.readouterr()
+
+
+def test_settings_are_per_command(tmp_path, capsys):
+    """A setting the command does not read is neither a flag nor a config key."""
+    cfg = tmp_path / "run.conf"
+    cfg.write_text("m = 2\nstep = 1e-4\n")
+    assert main(["connection", "--config", str(cfg)]) == 2
+    assert "unknown config key 'step'" in capsys.readouterr().err
+    for argv in (
+        ["connection", "--samples", "64"],
+        ["holonomy", "--grid", "small"],
+        ["irreducibility", "--dim", "64"],
+        ["chern", "--tolerance", "1e-3"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
     capsys.readouterr()
 
 

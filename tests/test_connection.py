@@ -1,18 +1,22 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.linalg import logm
 
 from berry_holonomy import (
-    ConnectionCoeffs,
-    MaurerCartanCoeffs,
     ParameterPoint,
-    berry_phase_diagonal,
     connection_closed,
     contract_one_form,
+    contract_two_form,
+    curvature_closed,
     derivative_identity_report,
     lambda_circle,
+    parallel_transport,
+    square_loop,
+    transport,
 )
 from berry_holonomy.connection import (
     SERIES_SWITCH,
@@ -28,11 +32,12 @@ amplitudes = st.complex_numbers(
 
 
 def test_scalar_profiles_at_one():
-    cc = ConnectionCoeffs.at(1.0 + 0.0j)
-    assert cc.alpha == pytest.approx(0.69054892277090786, abs=1e-14)
-    assert cc.beta == pytest.approx(0.20335755098087735, abs=1e-14)
-    assert cc.gamma == pytest.approx(0.70335755098087735, abs=1e-14)
-    assert cc.zeta == pytest.approx(0.76159415595576489, abs=1e-14)
+    """alpha, gamma, beta read off A_mu at mu = 1; zeta = mu tanh|mu|/|mu|."""
+    a_mu = connection_closed(ParameterPoint(0.0, 1.0), 3).a_mu
+    assert 2.0 * a_mu[0, 0] == pytest.approx(0.69054892277090786, abs=1e-14)
+    assert a_mu[0, 2] / math.sqrt(2.0) == pytest.approx(0.20335755098087735, abs=1e-14)
+    assert a_mu[2, 0] / math.sqrt(2.0) == pytest.approx(0.70335755098087735, abs=1e-14)
+    assert tanhc(1.0) == pytest.approx(0.76159415595576489, abs=1e-14)
 
 
 def test_series_switch_is_seamless():
@@ -85,33 +90,56 @@ def test_connection_m_validation():
         connection_closed(ParameterPoint(0.0, 0.0), 0)
 
 
-def test_maurer_cartan_matches_coeffs():
-    p = ParameterPoint(0.3 - 0.4j, 0.6 + 0.1j)
-    mc = MaurerCartanCoeffs.at(p)
-    cc = ConnectionCoeffs.at(p.mu)
-    assert mc.c_k3 == cc.alpha
-    assert mc.c_a2 == cc.beta
-    assert mc.c_adag2 == cc.gamma
-    assert mc.c_id == np.conj(p.lam) / 2
-
-
 @given(amplitudes, amplitudes, amplitudes, amplitudes)
 def test_contracted_one_form_antihermitian(lam, mu, dlam, dmu):
     a = contract_one_form(connection_closed(ParameterPoint(lam, mu), 3), dlam, dmu)
     assert np.abs(a + a.conj().T).max() < 1e-12
 
 
+def test_batch_equals_pointwise():
+    """A ParameterPoint of arrays gives the stacked single-point matrices.
+
+    |mu| straddles the series switch and includes mu = 0 exactly; every
+    warning is an error, so a 0/0 in the unused branch would fail here.
+    """
+    mags = np.array([0.0, 0.3, 0.99, 1.0, 1.01, 3.0, 5e3, 8e3]) * SERIES_SWITCH
+    mags = np.concatenate([mags, [0.4, 1.3]])
+    mu = mags * np.exp(1j * np.linspace(0.1, 5.9, mags.size))
+    lam = np.linspace(-0.7, 0.9, mags.size) + 0.3j
+    assert mu[0] == 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for m in (1, 2, 3, 5):
+            batch = ParameterPoint(lam, mu)
+            cm = connection_closed(batch, m)
+            form = curvature_closed(batch, m)
+            assert cm.a_lambda.shape == cm.a_mu.shape == (mags.size, m, m)
+            for k in range(mags.size):
+                p = ParameterPoint(complex(lam[k]), complex(mu[k]))
+                one = connection_closed(p, m)
+                assert np.abs(cm.a_lambda[k] - one.a_lambda).max() <= 1e-14
+                assert np.abs(cm.a_mu[k] - one.a_mu).max() <= 1e-14
+                for key, comp in curvature_closed(p, m).components.items():
+                    assert np.abs(form.components[key][k] - comp).max() <= 1e-14
+
+
+def test_square_at_mu_zero_transports_without_warnings():
+    """A square centred at mu = 0 crosses the series switch on every side."""
+    eps = 1.6e-4
+    corner = ParameterPoint(0.2, -0.5 * eps * (1 + 1j))
+    centre = ParameterPoint(0.2, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        w = transport(square_loop(corner, "mmb", eps, samples_per_side=16), 3)
+    f_uv = contract_two_form(curvature_closed(centre, 3), (0, 1), (0, 1j))
+    assert np.abs(w @ w.conj().T - np.eye(3)).max() < 1e-13
+    assert np.abs(logm(w) + f_uv * eps * eps).max() < 1e-10
+
+
 def test_berry_phase_circle():
     loop = lambda_circle(0.5, mu=0.2j, samples=1024)
-    phases = berry_phase_diagonal(loop, 3)
+    phases = parallel_transport(loop, 3).diagonal_phases
     assert np.abs(phases - 2 * np.pi * 0.25).max() < 1e-9
-
-
-def test_berry_phase_requires_closed():
-    loop = lambda_circle(0.5, samples=64)
-    loop.closed = False
-    with pytest.raises(ValueError):
-        berry_phase_diagonal(loop, 2)
 
 
 @given(

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from berry_holonomy import (
     ClosureNotStabilized,
     ParameterPoint,
-    berry_phase_diagonal,
     holonomy_algebra_dimension,
     lambda_circle,
     parallel_transport,
@@ -80,8 +79,8 @@ def test_polygon_phases_trace_identity():
         ParameterPoint(0.25 - 0.2j, 0.1 - 0.35j),
     ]
     loop = polygon_loop(verts, samples_per_side=256)
-    w = parallel_transport(loop, 3).w
-    total = berry_phase_diagonal(loop, 3).sum() + np.angle(np.linalg.det(w))
+    result = parallel_transport(loop, 3)
+    total = result.diagonal_phases.sum() + np.angle(np.linalg.det(result.w))
     assert abs((total + np.pi) % (2 * np.pi) - np.pi) < 1e-9
 
 

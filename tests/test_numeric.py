@@ -13,7 +13,6 @@ from berry_holonomy import (
     convergence_report,
     curvature_closed,
     curvature_numeric,
-    default_dim,
     global_form_check,
     wirtinger_derivative,
 )
@@ -72,13 +71,6 @@ def test_generalized_oracle_antihermitian(space64):
     assert len(oc.a) == 3
     for j in range(3):
         assert np.abs(oc.a_bar[j] + oc.a[j].conj().T).max() < 1e-7
-
-
-def test_default_dim_floor_and_growth():
-    assert default_dim(ParameterPoint(0.0, 0.0), 2) == 64
-    assert default_dim(ParameterPoint(0.0, 0.0), 5) == 128
-    assert default_dim(ParameterPoint(2.0, 1.0), 2) == 128
-    assert default_dim(GeneralizedPoint((2.0, 1.0)), 2) == 128
 
 
 def test_global_form_check(space96):
