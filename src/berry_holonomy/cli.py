@@ -19,10 +19,12 @@ between identical runs (timestamps, runtime) lives under "meta"; the
 
 Exit codes: 0 success (all checks passed where applicable), 1 tolerance
 breach, 2 configuration error (including non-finite inputs and files that
-cannot be opened), 3 numerical failure (overflow, a linear-algebra routine
-that did not converge, a transport step too large for the loop's samples, a
-closure that did not stabilize, or a non-finite result; nothing is written
-then).
+cannot be opened), 3 numerical failure (an overflow, invalid operation or
+division by zero in numpy, a linear-algebra routine that did not converge, a
+transport step too large for the loop's samples, a closure that did not
+stabilize, or a non-finite result; nothing is written then).  The exit-3
+message names the failed floating-point operation, as in "numerical failure:
+overflow encountered in multiply".
 """
 from __future__ import annotations
 
@@ -65,7 +67,7 @@ from .numeric import (
     curvature_numeric,
     derivative_identity_report,
 )
-from .reports import complex_pair, dump_json, matrix_payload
+from .reports import dump_json, matrix_payload
 
 
 class ConfigError(ValueError):
@@ -208,15 +210,6 @@ def _complex_arg(args: argparse.Namespace, name: str, default: complex) -> compl
     return default if text is None else parse_complex(text)
 
 
-def _all_finite(obj) -> bool:
-    """No NaN or infinity anywhere in nested dicts and lists."""
-    if isinstance(obj, dict):
-        return all(map(_all_finite, obj.values()))
-    if isinstance(obj, list):
-        return all(map(_all_finite, obj))
-    return not isinstance(obj, float) or math.isfinite(obj)
-
-
 def _batch(points: Sequence[ParameterPoint]) -> ParameterPoint:
     """The points as one batch for the closed forms."""
     return ParameterPoint(
@@ -225,51 +218,39 @@ def _batch(points: Sequence[ParameterPoint]) -> ParameterPoint:
     )
 
 
-def _csv_text(rows: List[Dict[str, float]]) -> str:
-    if not rows:
-        return "\n"
-    headers = list(rows[0].keys())
-    lines = [",".join(headers)]
-    for row in rows:
-        lines.append(",".join(repr(row[h]) for h in headers))
-    return "\n".join(lines) + "\n"
-
-
 def _sweep(
     fields: Callable[[ParameterPoint, int], List[Tuple[str, np.ndarray]]],
     args: argparse.Namespace,
     cfg: argparse.Namespace,
 ):
     """--lambda/--mu or a grid, evaluated in one batch: `fields` returns
-    named stacks of matrices, and each point's slice becomes one JSON entry
-    or one CSV row."""
+    named stacks of matrices.  JSON holds one entry per point; CSV text one
+    row per point: lambda, mu, then each matrix row-major, each value as
+    re, im."""
     if args.lam is None and args.mu is None:
         points = grid_points(cfg.grid or "default")
     else:
         points = [ParameterPoint(_complex_arg(args, "lam", 0.0), _complex_arg(args, "mu", 0.0))]
-    stacked = fields(_batch(points), cfg.m)
-    entries = []
-    for k, p in enumerate(points):
-        named = [(name, mats[k]) for name, mats in stacked]
-        if cfg.format == "csv":
-            entry = {
-                "lambda.re": p.lam.real,
-                "lambda.im": p.lam.imag,
-                "mu.re": p.mu.real,
-                "mu.im": p.mu.imag,
-            }
-            for name, mat in named:
-                for (i, j), z in np.ndenumerate(mat):
-                    entry[f"{name}[{i}][{j}].re"] = float(z.real)
-                    entry[f"{name}[{i}][{j}].im"] = float(z.imag)
-        else:
-            entry = {"lambda": complex_pair(p.lam), "mu": complex_pair(p.mu)}
-            for name, mat in named:
-                entry[name] = matrix_payload(mat)
-        entries.append(entry)
-    if cfg.format == "csv":
-        return entries
-    return {"m": cfg.m, "points": entries}
+    batch = _batch(points)
+    named = [("lambda", batch.lam), ("mu", batch.mu)] + fields(batch, cfg.m)
+    if cfg.format == "json":
+        names = [name for name, _ in named]
+        columns = [matrix_payload(values) for _, values in named]
+        return {"m": cfg.m, "points": [dict(zip(names, entry)) for entry in zip(*columns)]}
+    cells = [f"[{i}][{j}]" for i in range(cfg.m) for j in range(cfg.m)]
+    headers = [
+        f"{name}{cell}.{part}"
+        for name, values in named
+        for cell in (cells if values.ndim == 3 else [""])
+        for part in ("re", "im")
+    ]
+    table = np.concatenate(
+        [np.stack([v.real, v.imag], -1).reshape(len(points), -1) for _, v in named], axis=1
+    )
+    if not np.isfinite(table).all():
+        raise FloatingPointError("non-finite result")
+    rows = [",".join(map(repr, row)) for row in table.tolist()]
+    return "\n".join([",".join(headers)] + rows) + "\n"
 
 
 def _connection_fields(p: ParameterPoint, m: int) -> List[Tuple[str, np.ndarray]]:
@@ -409,17 +390,17 @@ def _chern(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
     norm = -1.0 / (4.0 * math.pi * math.pi)
     return {
         "m": cfg.m,
-        "mu": complex_pair(mu),
-        "tr_f_squared": complex_pair(traces["tr_f_squared"]),
-        "tr_f_squared_normalized": complex_pair(norm * traces["tr_f_squared"]),
-        "tr_f_wedge_tr_f": complex_pair(traces["tr_f_wedge_tr_f"]),
-        "tr_f_wedge_tr_f_normalized": complex_pair(norm * traces["tr_f_wedge_tr_f"]),
+        "mu": matrix_payload(mu),
+        "tr_f_squared": matrix_payload(traces["tr_f_squared"]),
+        "tr_f_squared_normalized": matrix_payload(norm * traces["tr_f_squared"]),
+        "tr_f_wedge_tr_f": matrix_payload(traces["tr_f_wedge_tr_f"]),
+        "tr_f_wedge_tr_f_normalized": matrix_payload(norm * traces["tr_f_wedge_tr_f"]),
     }
 
 
 class Command(NamedTuple):
     help: str
-    # (args, config) -> JSON payload, or CSV rows when the format is csv
+    # (args, config) -> JSON payload, or CSV text when the format is csv
     handler: Callable[[argparse.Namespace, argparse.Namespace], object]
     settings: Tuple[str, ...]  # the SETTINGS keys the handler reads
     flags: Tuple[Tuple[str, str, str], ...] = ()  # (flag, dest, help)
@@ -480,16 +461,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(args: argparse.Namespace) -> int:
-    """Run one parsed command line: write {meta, payload} JSON or CSV rows to
-    --out or stdout; exit 1 when the payload reports `passed: false`."""
+    """Run one parsed command line: write {meta, payload} JSON or CSV text to
+    --out or stdout; exit 1 when the payload reports `passed: false`.
+    Overflow, invalid operations and division by zero in numpy raise
+    FloatingPointError, and so does a NaN or infinity in the result."""
     started = time.monotonic()
     cfg = build_config(args)
-    result = COMMANDS[args.command].handler(args, cfg)
-    if not _all_finite(result):
-        raise FloatingPointError("non-finite result")
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        result = COMMANDS[args.command].handler(args, cfg)
     as_csv = getattr(cfg, "format", "json") == "csv"
     if as_csv:
-        text = _csv_text(result)
+        text = result
     else:
         doc = {
             "meta": {
@@ -498,7 +480,10 @@ def run(args: argparse.Namespace) -> int:
             },
             "payload": {"version": __version__, **result},
         }
-        text = dump_json(doc) + "\n"
+        try:
+            text = dump_json(doc) + "\n"
+        except ValueError:
+            raise FloatingPointError("non-finite result") from None
     if cfg.out:
         with open(cfg.out, "w") as fh:
             fh.write(text)

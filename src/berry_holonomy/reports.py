@@ -13,21 +13,18 @@ from typing import Any
 import numpy as np
 
 
-def complex_pair(z) -> list:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def matrix_payload(m) -> list:
-    """Row-major nested lists of [re, im] pairs."""
-    arr = np.asarray(m, dtype=complex)
-    return [[complex_pair(v) for v in row] for row in arr]
+def matrix_payload(z) -> list:
+    """[re, im] pairs for a complex array of any shape, as nested row-major
+    lists: a scalar gives one pair, an m x m matrix m rows of m pairs."""
+    z = np.asarray(z, dtype=complex)
+    return np.stack([z.real, z.imag], -1).tolist()
 
 
 def dump_json(obj: Any, path=None) -> str:
     """Canonical dump: sorted keys, fixed separators. Identical input
-    objects produce byte-identical text."""
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    objects produce byte-identical text.  A NaN or infinity anywhere in
+    `obj` raises ValueError."""
+    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
     if path is not None:
         with open(path, "w") as fh:
             fh.write(text)
@@ -47,16 +44,6 @@ class IdentityReport:
     label: str = ""
     extras: dict = field(default_factory=dict)
 
-    def to_payload(self) -> dict:
-        return {
-            "interior_dev": self.interior_dev,
-            "boundary_dev": self.boundary_dev,
-            "D": self.D,
-            "buffer": self.buffer,
-            "label": self.label,
-            "extras": self.extras,
-        }
-
 
 @dataclass
 class SpectrumReport:
@@ -64,23 +51,9 @@ class SpectrumReport:
     max_dev: float
     kernel_dim_estimate: int
 
-    def to_payload(self) -> dict:
-        return {
-            "matched_count": self.matched_count,
-            "max_dev": self.max_dev,
-            "kernel_dim_estimate": self.kernel_dim_estimate,
-        }
-
 
 @dataclass
 class ConvergenceReport:
     dims: list
     deviations: list
     converged: bool
-
-    def to_payload(self) -> dict:
-        return {
-            "dims": list(self.dims),
-            "deviations": [float(d) for d in self.deviations],
-            "converged": self.converged,
-        }

@@ -10,6 +10,7 @@ from berry_holonomy.cli import (
     main,
     parse_complex,
 )
+from berry_holonomy.connection import ConnectionMatrices
 from berry_holonomy.lie import ClosureNotStabilized
 from berry_holonomy.reports import dump_json
 
@@ -140,22 +141,49 @@ def test_bad_config_exit_codes(tmp_path, capsys):
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys):
+    # one overflowing point among finite ones fails the whole sweep
+    grid = tmp_path / "g.json"
+    grid.write_text('[["0.3", "0.1"], ["0", "0.5i"], ["0.2-0.1i", "400"], ["-0.4", "1"]]')
     for argv in (
         # cosh overflows in the closed curvature; that is exit 3, not 1 or 2
         ["curvature", "--mu", "1e308"],
-        # finite inputs whose closed forms come out NaN or infinite
+        # finite inputs whose closed forms overflow
         ["connection", "--mu", "400"],
+        ["connection", "--mu", "400", "--format", "csv"],
         ["curvature", "--mu", "400"],
         ["curvature", "--mu", "400", "--format", "csv"],
         ["chern", "--mu", "400"],
+        ["connection", "--grid", str(grid)],
+        ["connection", "--grid", str(grid), "--format", "csv"],
+        ["curvature", "--grid", str(grid)],
+        ["curvature", "--grid", str(grid), "--format", "csv"],
         # transport steps outside the Magnus convergence radius
         ["holonomy", "--mu", "40", "--samples", "64"],
         ["holonomy", "--m", "3", "--mu", "8"],
     ):
         out = tmp_path / "out"
         assert main(argv + ["--out", str(out)]) == 3, argv
-        assert "numerical failure" in capsys.readouterr().err
+        # one line naming the failure, no RuntimeWarning before it
+        err = capsys.readouterr().err
+        assert err.startswith("numerical failure: ") and err.count("\n") == 1, (argv, err)
         assert not out.exists()
+    assert main(["connection", "--mu", "400"]) == 3
+    assert capsys.readouterr().err == "numerical failure: overflow encountered in multiply\n"
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_result_exit_code(fmt, monkeypatch, tmp_path, capsys):
+    """A NaN that no numpy operation flagged still exits 3 and writes nothing."""
+
+    def nan_connection(p, m):
+        nan = np.full(np.shape(p.lam) + (m, m), np.nan, dtype=complex)
+        return ConnectionMatrices(nan, nan, p, m)
+
+    monkeypatch.setattr("berry_holonomy.cli.connection_closed", nan_connection)
+    out = tmp_path / "out"
+    assert main(["connection", "--grid", "small", "--format", fmt, "--out", str(out)]) == 3
+    assert capsys.readouterr().err == "numerical failure: non-finite result\n"
+    assert not out.exists()
 
 
 def test_closure_failure_exit_code(monkeypatch, capsys):
@@ -169,26 +197,34 @@ def test_closure_failure_exit_code(monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["connection", "curvature"])
 def test_csv_matches_json(command, tmp_path):
-    argv = [command, "--m", "3", "--grid", "small"]
+    """Each CSV cell is the text of the matching JSON float, -0.0 included."""
+    grid = tmp_path / "g.json"
+    grid.write_text(
+        '[["-0.0", "0"], ["0.3-0.0i", "0.5+0.2i"], ["0.5", "-0.0"], ["0", "0.00005i"], ["1", "-1.3"]]'
+    )
+    argv = [command, "--m", "4", "--grid", str(grid)]
     _, doc = run(argv, tmp_path)
     csv_out = tmp_path / "out.csv"
     assert main(argv + ["--format", "csv", "--out", str(csv_out)]) == 0
     lines = csv_out.read_text().splitlines()
     header = lines[0].split(",")
     points = doc["payload"]["points"]
-    assert len(lines) - 1 == len(points) == 4
+    assert len(lines) - 1 == len(points) == 5
+    negative_zeros = 0
     for line, entry in zip(lines[1:], points):
-        cells = dict(zip(header, map(float, line.split(","))))
+        cells = dict(zip(header, line.split(",")))
         expected = {}
         for name, value in entry.items():
             if name in ("lambda", "mu"):
-                expected[f"{name}.re"], expected[f"{name}.im"] = value
+                expected[f"{name}.re"], expected[f"{name}.im"] = map(repr, value)
                 continue
             for i, row in enumerate(value):
                 for j, (re, im) in enumerate(row):
-                    expected[f"{name}[{i}][{j}].re"] = re
-                    expected[f"{name}[{i}][{j}].im"] = im
+                    expected[f"{name}[{i}][{j}].re"] = repr(re)
+                    expected[f"{name}[{i}][{j}].im"] = repr(im)
         assert cells == expected
+        negative_zeros += list(cells.values()).count("-0.0")
+    assert negative_zeros > 0
 
 
 def test_config_file_and_flag_override(tmp_path):
