@@ -27,15 +27,12 @@ def main() -> None:
     print(f"lam-circle phases (m = {m}, {args.samples} samples)")
     for r in (0.5, 1.0):
         loop = lambda_circle(r, mu=0.3j, samples=args.samples)
-        result = parallel_transport(loop, m)
-        phases = result.diagonal_phases
-        defect = float(
-            np.abs(result.w @ result.w.conj().T - np.eye(m)).max()
-        )
+        w, length, phases = parallel_transport(loop, m)
+        defect = float(np.abs(w @ w.conj().T - np.eye(m)).max())
         expect = 2.0 * np.pi * r * r
         print(f"  r = {r:.1f}: expect {expect:.9f}")
         print(f"    phases  {np.array2string(phases, precision=9)}")
-        print(f"    |W W+ - 1| = {defect:.2e}, path length {result.path_length:.6f}")
+        print(f"    |W W+ - 1| = {defect:.2e}, path length {length:.6f}")
 
     print("\nsmall-loop residual halving (m = 2, eps = 2e-3)")
     center = ParameterPoint(0.32 + 0.21j, 0.43 + 0.14j)

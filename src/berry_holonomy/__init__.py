@@ -17,9 +17,7 @@ from .curvature import (
     COMPONENT_KEYS,
     COMPONENT_NAMES,
     PLANE_TANGENTS,
-    BasisMatrices,
     CurvatureForm,
-    basis_matrices,
     contract_two_form,
     curvature_closed,
     curvature_span_dimension,
@@ -27,10 +25,8 @@ from .curvature import (
     f_squared_from_wedge,
 )
 from .family import (
-    Frame,
     GeneralizedPoint,
     ParameterPoint,
-    Projector,
     classifying_projector,
     hamiltonian_h0,
     isospectral_check,
@@ -39,10 +35,7 @@ from .family import (
     vacuum_frame,
 )
 from .fock import (
-    FockOperators,
-    TruncatedOperator,
     TruncatedSpace,
-    UnitaryOperator,
     bch_identity_report,
     displacement,
     exp_antihermitian,
@@ -50,7 +43,6 @@ from .fock import (
     squeeze,
 )
 from .holonomy import (
-    HolonomyResult,
     LoopPath,
     holonomy_algebra_dimension,
     lambda_circle,
@@ -74,4 +66,4 @@ from .numeric import (
     global_form_check,
     wirtinger_derivative,
 )
-from .reports import ConvergenceReport, IdentityReport, SpectrumReport, dump_json
+from .reports import IdentityReport, dump_json

@@ -345,13 +345,13 @@ def _load_loop(args: argparse.Namespace, cfg: argparse.Namespace):
 
 def _holonomy(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
     loop = _load_loop(args, cfg)
-    result = parallel_transport(loop, cfg.m)
+    w, length, phases = parallel_transport(loop, cfg.m)
     return {
         "m": cfg.m,
         "samples": cfg.samples,
-        "w": matrix_payload(result.w),
-        "path_length": result.path_length,
-        "diagonal_phases": [float(x) for x in result.diagonal_phases],
+        "w": matrix_payload(w),
+        "path_length": length,
+        "diagonal_phases": [float(x) for x in phases],
     }
 
 

@@ -83,8 +83,6 @@ def csm1_over_x2(x):
 class ConnectionMatrices:
     a_lambda: np.ndarray
     a_mu: np.ndarray
-    point: ParameterPoint
-    m: int
 
 
 def connection_closed(p: ParameterPoint, m: int) -> ConnectionMatrices:
@@ -109,7 +107,7 @@ def connection_closed(p: ParameterPoint, m: int) -> ConnectionMatrices:
     a_mu[..., i, i] = (0.5 + i) * col(0.5 * np.conj(mu) * s * s)
     a_mu[..., i[2:], i[:-2]] = w2 * col(0.25 * (1.0 + cosh_sinh_over(x)))
     a_mu[..., i[:-2], i[2:]] = w2 * col(0.25 * np.conj(mu) ** 2 * csm1_over_x2(x))
-    return ConnectionMatrices(a_lambda=a_lam, a_mu=a_mu, point=p, m=m)
+    return ConnectionMatrices(a_lam, a_mu)
 
 
 def contract_one_form(cm: ConnectionMatrices, dlam, dmu) -> np.ndarray:

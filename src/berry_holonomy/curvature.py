@@ -56,17 +56,8 @@ PLANE_TANGENTS: Dict[str, Tuple[tuple, tuple]] = {
 }
 
 
-@dataclass(frozen=True)
-class BasisMatrices:
-    E: np.ndarray
-    F: np.ndarray
-    K: np.ndarray
-    L: np.ndarray
-    EK: np.ndarray
-    KF: np.ndarray
-
-
-def _basis(m: int) -> BasisMatrices:
+def _basis(m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The ladder pair E, F = E+ and the projectors K, L."""
     E = np.zeros((m, m), dtype=complex)
     for i in range(m - 1):
         E[i, i + 1] = math.sqrt(i + 1.0)
@@ -76,24 +67,12 @@ def _basis(m: int) -> BasisMatrices:
     L = K.copy()
     if m >= 2:
         L[m - 2, m - 2] = 1.0
-    return BasisMatrices(E=E, F=F, K=K, L=L, EK=E @ K, KF=K @ F)
-
-
-def basis_matrices(m: int) -> BasisMatrices:
-    """The six fixed matrices spanning every curvature component."""
-    if m < 2:
-        raise ValueError("basis requires m >= 2")
-    return _basis(m)
+    return E, F, K, L
 
 
 @dataclass
 class CurvatureForm:
     components: Dict[str, np.ndarray]
-    point: ParameterPoint
-    m: int
-
-    def component(self, key: str) -> np.ndarray:
-        return self.components[key]
 
 
 def curvature_closed(p: ParameterPoint, m: int) -> CurvatureForm:
@@ -101,7 +80,8 @@ def curvature_closed(p: ParameterPoint, m: int) -> CurvatureForm:
     points."""
     if m < 1:
         raise ValueError("m must be positive")
-    b = _basis(m)
+    E, F, K, L = _basis(m)
+    EK, KF = E @ K, K @ F
     lam, mu = np.broadcast_arrays(
         np.asarray(p.lam, dtype=complex), np.asarray(p.mu, dtype=complex)
     )
@@ -119,16 +99,16 @@ def curvature_closed(p: ParameterPoint, m: int) -> CurvatureForm:
     cell = lambda z: np.asarray(z)[..., None, None]
     ch = cell(m * (c / 4.0) * (1.0 + cs_x))
     comp = {
-        "lm": cell(m * (f_mb2 * c / 4.0)) * b.EK - cell(m * (f_mb / 4.0) * (1.0 + cs_x)) * b.KF,
-        "llb": np.broadcast_to(-m * b.K, lam.shape + (m, m)).copy(),
-        "lmb": -(ch * b.EK - cell(m * (f_m / 4.0) * em1) * b.KF),
-        "mlb": -(cell(-m * (f_mb / 4.0) * em1) * b.EK + ch * b.KF),
-        "mmb": -(cell((m / 2.0) * cs_x) * b.K + cell((m * (m - 1) / 4.0) * cs_x) * b.L),
+        "lm": cell(m * (f_mb2 * c / 4.0)) * EK - cell(m * (f_mb / 4.0) * (1.0 + cs_x)) * KF,
+        "llb": np.broadcast_to(-m * K, lam.shape + (m, m)).copy(),
+        "lmb": -(ch * EK - cell(m * (f_m / 4.0) * em1) * KF),
+        "mlb": -(cell(-m * (f_mb / 4.0) * em1) * EK + ch * KF),
+        "mmb": -(cell((m / 2.0) * cs_x) * K + cell((m * (m - 1) / 4.0) * cs_x) * L),
         "lbmb": -(
-            cell(-m * (f_m / 4.0) * (1.0 + cs_x)) * b.EK + cell(m * (f_m2 * c / 4.0)) * b.KF
+            cell(-m * (f_m / 4.0) * (1.0 + cs_x)) * EK + cell(m * (f_m2 * c / 4.0)) * KF
         ),
     }
-    return CurvatureForm(components=comp, point=p, m=m)
+    return CurvatureForm(comp)
 
 
 def contract_two_form(form: CurvatureForm, u: tuple, v: tuple) -> np.ndarray:
@@ -153,9 +133,9 @@ def f_squared(mu: complex, m: int) -> np.ndarray:
     """Closed form of the F ^ F coefficient; K and L only."""
     if m < 1:
         raise ValueError("m must be positive")
-    b = _basis(m)
+    _, _, K, L = _basis(m)
     cs_x = cosh_sinh_over(abs(mu))
-    return cs_x * (m * m * (m - 1) / 4.0 * b.L - m * m * (m + 1) / 2.0 * b.K)
+    return cs_x * (m * m * (m - 1) / 4.0 * L - m * m * (m + 1) / 2.0 * K)
 
 
 def f_squared_from_wedge(form: CurvatureForm) -> np.ndarray:

@@ -14,11 +14,11 @@ generator equals lam_2 K+ - conj(lam_2) K-.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
-from .fock import TruncatedOperator, TruncatedSpace, UnitaryOperator, apply_factors
-from .reports import SpectrumReport
+from .fock import TruncatedSpace, apply_factors
 
 
 @dataclass(frozen=True)
@@ -38,19 +38,7 @@ class GeneralizedPoint:
         object.__setattr__(self, "lambdas", tuple(complex(z) for z in self.lambdas))
 
 
-@dataclass
-class Frame:
-    matrix: np.ndarray
-    m: int
-    space: TruncatedSpace
-
-
-@dataclass
-class Projector:
-    matrix: np.ndarray
-
-
-def hamiltonian_h0(m: int, space: TruncatedSpace) -> TruncatedOperator:
+def hamiltonian_h0(m: int, space: TruncatedSpace) -> np.ndarray:
     """Diagonal n(n-1)...(n-m+1); the first m entries vanish identically."""
     if m < 1:
         raise ValueError("m must be positive")
@@ -60,17 +48,17 @@ def hamiltonian_h0(m: int, space: TruncatedSpace) -> TruncatedOperator:
     diag = np.ones(space.dim)
     for k in range(m):
         diag = diag * (n - k)
-    return TruncatedOperator(np.diag(diag).astype(complex), space, "H0")
+    return np.diag(diag).astype(complex)
 
 
-def unitary_u(p: ParameterPoint, space: TruncatedSpace) -> UnitaryOperator:
+def unitary_u(p: ParameterPoint, space: TruncatedSpace) -> np.ndarray:
     """U = displacement(lam) squeeze(mu), in that order."""
-    return UnitaryOperator(apply_factors([(1, p.lam), (2, p.mu)], np.eye(space.dim)))
+    return apply_factors([(1, p.lam), (2, p.mu)], np.eye(space.dim))
 
 
 def unitary_u_generalized(
     p: GeneralizedPoint, space: TruncatedSpace, order: str = "ascending"
-) -> UnitaryOperator:
+) -> np.ndarray:
     """Ordered product of exp{(lam_j (a+)^j - conj(lam_j) a^j)/j}.
 
     `order` fixes the convention for the path-ordered product: "ascending"
@@ -81,30 +69,31 @@ def unitary_u_generalized(
     factors = list(enumerate(p.lambdas, start=1))
     if order == "descending":
         factors.reverse()
-    return UnitaryOperator(apply_factors(factors, np.eye(space.dim)))
+    return apply_factors(factors, np.eye(space.dim))
 
 
-def vacuum_frame(p: ParameterPoint, m: int, space: TruncatedSpace) -> Frame:
+def vacuum_frame(p: ParameterPoint, m: int, space: TruncatedSpace) -> np.ndarray:
     """First m columns of U(p); an orthonormal frame for the conjugated vacuum."""
-    v0 = np.eye(space.dim)[:, :m]
-    return Frame(apply_factors([(1, p.lam), (2, p.mu)], v0), m, space)
+    return apply_factors([(1, p.lam), (2, p.mu)], np.eye(space.dim)[:, :m])
 
 
-def classifying_projector(p: ParameterPoint, m: int, space: TruncatedSpace) -> Projector:
-    v = vacuum_frame(p, m, space).matrix
-    return Projector(v @ v.conj().T)
+def classifying_projector(p: ParameterPoint, m: int, space: TruncatedSpace) -> np.ndarray:
+    """P = V V+ for the vacuum frame V at p."""
+    v = vacuum_frame(p, m, space)
+    return v @ v.conj().T
 
 
-def isospectral_check(p: ParameterPoint, m: int, space: TruncatedSpace) -> SpectrumReport:
-    """Compare the lower half of the spectrum of U H0 U+ against H0.
+def isospectral_check(p: ParameterPoint, m: int, space: TruncatedSpace) -> Tuple[float, int]:
+    """(max_dev, kernel_dim): the lower half of the spectrum of U H0 U+
+    against H0, and the size of the near-kernel.
 
-    The conjugated Hamiltonian shares the spectrum of H0 by construction;
-    the report isolates eigen-solver noise and counts the near-kernel, which
-    must be at least m-dimensional.
+    The conjugated Hamiltonian shares the spectrum of H0 by construction, so
+    `max_dev` over the lowest D // 2 eigenvalues (always that many) isolates
+    eigen-solver noise; the near-kernel must be at least m-dimensional.
     """
     D = space.dim
-    h0 = hamiltonian_h0(m, space).matrix
-    u = unitary_u(p, space).matrix
+    h0 = hamiltonian_h0(m, space)
+    u = unitary_u(p, space)
     h = u @ h0 @ u.conj().T
     h = 0.5 * (h + h.conj().T)
     ev_h = np.sort(np.linalg.eigvalsh(h))
@@ -112,4 +101,4 @@ def isospectral_check(p: ParameterPoint, m: int, space: TruncatedSpace) -> Spect
     count = D // 2
     max_dev = float(np.abs(ev_h[:count] - ev_h0[:count]).max())
     kernel = int(np.sum(np.abs(ev_h) < 1e-8))
-    return SpectrumReport(matched_count=count, max_dev=max_dev, kernel_dim_estimate=kernel)
+    return max_dev, kernel

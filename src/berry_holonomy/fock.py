@@ -11,7 +11,12 @@ displacement and j = 2 the squeeze.  The diagonal R = exp(i arg(z) N / j)
 satisfies R (a+)^j R+ = e^{i arg z} (a+)^j exactly on the truncated space,
 so each factor is R exp(|z| G_j) R+ with G_j = ((a+)^j - a^j) / j.  One
 eigen-solve of i G_j per (D, j) then serves every z, and a factor costs
-O(D^2 k) on a D x k block.
+O(D^2 k) on a D x k block.  The engine takes any factor list, so the
+oracle's one frame-derivative path (`numeric._frame_legs`) serves both the
+two-parameter and the generalized family.
+
+Every operator here is a plain complex ndarray; `make_operators` returns
+them in a dict keyed by name.
 
 Truncation corrupts only the top levels: commutation relations and the
 disentangling identities below hold exactly on an interior block whose
@@ -25,7 +30,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -43,34 +48,9 @@ class TruncatedSpace:
             raise ValueError("dimension too small")
 
 
-@dataclass
-class TruncatedOperator:
-    matrix: np.ndarray
-    space: TruncatedSpace
-    label: str = ""
-
-
-@dataclass
-class UnitaryOperator:
-    matrix: np.ndarray
-
-    def unitarity_defect(self) -> float:
-        u = self.matrix
-        return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
-
-
-@dataclass
-class FockOperators:
-    a: TruncatedOperator
-    a_dag: TruncatedOperator
-    N: TruncatedOperator
-    K_plus: TruncatedOperator
-    K_minus: TruncatedOperator
-    K_3: TruncatedOperator
-
-
-def make_operators(space: TruncatedSpace) -> FockOperators:
-    """Ladder and two-photon generators on the truncated space."""
+def make_operators(space: TruncatedSpace) -> Dict[str, np.ndarray]:
+    """Ladder and two-photon generators on the truncated space, keyed
+    a, a_dag, N, K_plus, K_minus, K_3."""
     D = space.dim
     a = np.zeros((D, D), dtype=complex)
     for n in range(1, D):
@@ -80,35 +60,21 @@ def make_operators(space: TruncatedSpace) -> FockOperators:
     kp = 0.5 * (ad @ ad)
     km = 0.5 * (a @ a)
     k3 = 0.5 * (n_op + 0.5 * np.eye(D))
-    wrap = lambda m, label: TruncatedOperator(m, space, label)
-    return FockOperators(
-        a=wrap(a, "a"),
-        a_dag=wrap(ad, "a_dag"),
-        N=wrap(n_op, "N"),
-        K_plus=wrap(kp, "K_plus"),
-        K_minus=wrap(km, "K_minus"),
-        K_3=wrap(k3, "K_3"),
-    )
+    return {"a": a, "a_dag": ad, "N": n_op, "K_plus": kp, "K_minus": km, "K_3": k3}
 
 
-def _as_matrix(g) -> np.ndarray:
-    if isinstance(g, TruncatedOperator):
-        return g.matrix
-    return np.asarray(g, dtype=complex)
-
-
-def exp_antihermitian(g) -> UnitaryOperator:
+def exp_antihermitian(g: np.ndarray) -> np.ndarray:
     """e^G for anti-hermitian G, via the hermitian eigen-solve of iG.
 
     The result is unitary to roundoff for any norm of G, unlike generic
     scaling-and-squaring which loses unitarity for large generators.
     """
-    G = _as_matrix(g)
+    G = np.asarray(g, dtype=complex)
     defect = np.abs(G + G.conj().T).max()
     if defect > 1e-12 * max(1.0, np.abs(G).max()):
         raise ValueError("generator is not anti-hermitian (defect %.3e)" % defect)
     w, V = np.linalg.eigh(1j * G)
-    return UnitaryOperator((V * np.exp(-1j * w)) @ V.conj().T)
+    return (V * np.exp(-1j * w)) @ V.conj().T
 
 
 @functools.lru_cache(maxsize=None)
@@ -150,14 +116,14 @@ def apply_factors(factors: Sequence[Tuple[int, complex]], x: np.ndarray) -> np.n
     return x
 
 
-def displacement(lam: complex, space: TruncatedSpace) -> UnitaryOperator:
+def displacement(lam: complex, space: TruncatedSpace) -> np.ndarray:
     """exp(lam a+ - conj(lam) a)."""
-    return UnitaryOperator(apply_factors([(1, lam)], np.eye(space.dim)))
+    return apply_factors([(1, lam)], np.eye(space.dim))
 
 
-def squeeze(mu: complex, space: TruncatedSpace) -> UnitaryOperator:
+def squeeze(mu: complex, space: TruncatedSpace) -> np.ndarray:
     """exp(mu K+ - conj(mu) K-)."""
-    return UnitaryOperator(apply_factors([(2, mu)], np.eye(space.dim)))
+    return apply_factors([(2, mu)], np.eye(space.dim))
 
 
 def _nilpotent_expm(m: np.ndarray) -> np.ndarray:
@@ -226,9 +192,9 @@ def bch_identity_report(lam: complex, mu: complex, space: TruncatedSpace) -> Ide
     """
     D = space.dim
     ops = make_operators(space)
-    a, ad = ops.a.matrix, ops.a_dag.matrix
+    a, ad = ops["a"], ops["a_dag"]
 
-    lhs_d = displacement(lam, space).matrix
+    lhs_d = displacement(lam, space)
     rhs_d = (
         math.exp(-0.5 * abs(lam) ** 2)
         * _nilpotent_expm(lam * ad)
@@ -237,25 +203,22 @@ def bch_identity_report(lam: complex, mu: complex, space: TruncatedSpace) -> Ide
     b_d = displacement_buffer(lam, D)
     int_d, bnd_d = _split_deviation(lhs_d - rhs_d, b_d)
 
-    lhs_s = squeeze(mu, space).matrix
+    lhs_s = squeeze(mu, space)
     x = abs(mu)
     zeta = mu * math.tanh(x) / x if x > 0 else 0.0
     levels = np.arange(D)
     # K3 is diagonal with entries (n + 1/2)/2
     diag_factor = np.power(1.0 - abs(zeta) ** 2, 0.5 * (levels + 0.5))
     rhs_s = (
-        _nilpotent_expm(zeta * ops.K_plus.matrix)
+        _nilpotent_expm(zeta * ops["K_plus"])
         * diag_factor[np.newaxis, :]
-    ) @ _nilpotent_expm(-np.conj(zeta) * ops.K_minus.matrix)
+    ) @ _nilpotent_expm(-np.conj(zeta) * ops["K_minus"])
     b_s = squeeze_buffer(mu, D)
     int_s, bnd_s = _split_deviation(lhs_s - rhs_s, b_s)
 
     return IdentityReport(
         interior_dev=max(int_d, int_s),
         boundary_dev=max(bnd_d, bnd_s),
-        D=D,
-        buffer=max(b_d, b_s),
-        label="bch-disentangling",
         extras={
             "displacement": {"interior_dev": int_d, "boundary_dev": bnd_d, "buffer": b_d},
             "squeeze": {"interior_dev": int_s, "boundary_dev": bnd_s, "buffer": b_s},

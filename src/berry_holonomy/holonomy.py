@@ -146,13 +146,6 @@ def square_loop(
     return polygon_loop(verts, samples_per_side=samples_per_side, closed=True)
 
 
-@dataclass
-class HolonomyResult:
-    w: np.ndarray
-    path_length: float
-    diagonal_phases: np.ndarray
-
-
 def transport(
     loop: LoopPath, m: int, *, one_form: Optional[Tuple[np.ndarray, np.ndarray]] = None
 ) -> np.ndarray:
@@ -189,9 +182,10 @@ def transport(
     return uu @ vh
 
 
-def parallel_transport(loop: LoopPath, m: int) -> HolonomyResult:
-    """Holonomy W of a closed loop, its path length, and the abelian phases
-    Im oint A_ii, all summed over the nodes of one one-form evaluation.
+def parallel_transport(loop: LoopPath, m: int) -> Tuple[np.ndarray, float, np.ndarray]:
+    """(w, path_length, diagonal_phases): the holonomy W of a closed loop,
+    its path length, and the abelian phases Im oint A_ii, all summed over
+    the nodes of one one-form evaluation.
 
     For a lam-circle of radius r at mu = 0 every phase is 2 pi r^2
     regardless of m; on any closed loop the phases sum to -arg det W
@@ -202,10 +196,10 @@ def parallel_transport(loop: LoopPath, m: int) -> HolonomyResult:
     h, a = loop_one_form(loop, m)
     _, nodes = loop.gauss_steps()
     speed = np.hypot(*map(np.abs, loop.velocity_at(nodes)))
-    return HolonomyResult(
-        w=transport(loop, m, one_form=(h, a)),
-        path_length=float(0.5 * np.dot(np.repeat(h, 2), speed.ravel())),
-        diagonal_phases=0.5 * np.einsum("s,snii->i", h, a).imag,
+    return (
+        transport(loop, m, one_form=(h, a)),
+        float(0.5 * np.dot(np.repeat(h, 2), speed.ravel())),
+        0.5 * np.einsum("s,snii->i", h, a).imag,
     )
 
 
@@ -237,9 +231,6 @@ def small_loop_check(
     return IdentityReport(
         interior_dev=r_full,
         boundary_dev=r_half,
-        D=0,
-        buffer=0,
-        label="small-loop-residual",
         extras={"ratio": ratio, "plane": plane, "eps": eps},
     )
 

@@ -14,6 +14,10 @@ only: with P = V V+,
 which is dA + A ^ A after V+ V = 1 is used to trade the A ^ A term for
 the projector.  V and the eight stencil frames serve every component.
 
+`_frame_legs` is the one frame-derivative path: it takes any factor list
+of the engine, so the two-parameter family (factors (1, lam), (2, mu)) and
+the generalized family (factors (j, lam_j)) differentiate the same way.
+
 Wirtinger convention: for f of one complex variable,
 
   d_z f    = (d_x f - i d_y f) / 2
@@ -38,7 +42,7 @@ from .connection import ConnectionMatrices, tanhc
 from .curvature import CurvatureForm, curvature_closed
 from .family import GeneralizedPoint, ParameterPoint, vacuum_frame
 from .fock import TruncatedSpace, apply_factors
-from .reports import ConvergenceReport, IdentityReport
+from .reports import IdentityReport
 
 
 @dataclass(frozen=True)
@@ -73,19 +77,13 @@ def wirtinger_derivative(
 
 @dataclass
 class OracleConnection(ConnectionMatrices):
-    D: int = 0
-    h: float = 0.0
-    estimated_error: float = 0.0
+    estimated_error: float
 
 
 @dataclass
 class GeneralizedOracleConnection:
     a: List[np.ndarray]
     a_bar: List[np.ndarray]
-    point: GeneralizedPoint
-    m: int
-    D: int
-    h: float
 
 
 def _resolve(m: int, space: TruncatedSpace, plan: Optional[DifferentiationPlan]):
@@ -96,53 +94,41 @@ def _resolve(m: int, space: TruncatedSpace, plan: Optional[DifferentiationPlan])
     return plan or DifferentiationPlan()
 
 
-def _frame_legs(p: ParameterPoint, m: int, space: TruncatedSpace, plan: DifferentiationPlan):
-    """V at p and its Wirtinger derivatives keyed by leg: l, lb, m, mb."""
-    frame = lambda lam, mu: vacuum_frame(ParameterPoint(lam, mu), m, space).matrix
-    d = {}
-    d["l"], d["lb"] = wirtinger_derivative(lambda z: frame(z, p.mu), p.lam, plan)
-    d["m"], d["mb"] = wirtinger_derivative(lambda z: frame(p.lam, z), p.mu, plan)
-    return frame(p.lam, p.mu), d
+def _frame_legs(
+    factors: List[Tuple[int, complex]], m: int, space: TruncatedSpace, plan: DifferentiationPlan
+) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
+    """The frame V = prod_k exp((z_k (a+)^j_k - conj(z_k) a^j_k) / j_k) V0
+    for the (j, z) `factors`, and (d_z V, d_zbar V) for each factor's z."""
+    v0 = np.eye(space.dim)[:, :m]
+    legs = []
+    for k, (j, z0) in enumerate(factors):
+        frame = lambda z: apply_factors(factors[:k] + [(j, z)] + factors[k + 1 :], v0)
+        legs.append(wirtinger_derivative(frame, z0, plan))
+    return apply_factors(factors, v0), legs
 
 
 def _two_parameter_oracle(
     p: ParameterPoint, m: int, space: TruncatedSpace, plan: DifferentiationPlan
 ) -> OracleConnection:
-    v, d = _frame_legs(p, m, space, plan)
-    a = {leg: v.conj().T @ dv for leg, dv in d.items()}
+    v, legs = _frame_legs([(1, p.lam), (2, p.mu)], m, space, plan)
+    vh = v.conj().T
+    (a_l, a_lb), (a_m, a_mb) = [(vh @ d_z, vh @ d_zb) for d_z, d_zb in legs]
     # the conjugate legs must be the negated adjoints; the defect is a
     # direct read of the finite-difference error level
     err = max(
-        float(np.abs(a["lb"] + a["l"].conj().T).max()),
-        float(np.abs(a["mb"] + a["m"].conj().T).max()),
+        float(np.abs(a_lb + a_l.conj().T).max()),
+        float(np.abs(a_mb + a_m.conj().T).max()),
     )
-    return OracleConnection(
-        a_lambda=a["l"],
-        a_mu=a["m"],
-        point=p,
-        m=m,
-        D=space.dim,
-        h=plan.h,
-        estimated_error=err,
-    )
+    return OracleConnection(a_l, a_m, estimated_error=err)
 
 
 def _generalized_oracle(
     p: GeneralizedPoint, m: int, space: TruncatedSpace, plan: DifferentiationPlan
 ) -> GeneralizedOracleConnection:
-    v0 = np.eye(space.dim)[:, :m]
-    factors = list(enumerate(p.lambdas, start=1))
-    vh = apply_factors(factors, v0).conj().T
-
-    a_list: List[np.ndarray] = []
-    abar_list: List[np.ndarray] = []
-    for k, (j, z0) in enumerate(factors):
-        frame = lambda z: apply_factors(factors[:k] + [(j, z)] + factors[k + 1 :], v0)
-        d_z, d_zb = wirtinger_derivative(frame, z0, plan)
-        a_list.append(vh @ d_z)
-        abar_list.append(vh @ d_zb)
+    v, legs = _frame_legs(list(enumerate(p.lambdas, start=1)), m, space, plan)
+    vh = v.conj().T
     return GeneralizedOracleConnection(
-        a=a_list, a_bar=abar_list, point=p, m=m, D=space.dim, h=plan.h
+        a=[vh @ d_z for d_z, _ in legs], a_bar=[vh @ d_zb for _, d_zb in legs]
     )
 
 
@@ -179,14 +165,15 @@ def curvature_numeric(
 ) -> CurvatureForm:
     """Curvature from first derivatives of the frame (see the module note)."""
     plan = _resolve(m, space, plan)
-    v, d = _frame_legs(p, m, space, plan)
+    v, ((d_l, d_lb), (d_m, d_mb)) = _frame_legs([(1, p.lam), (2, p.mu)], m, space, plan)
+    d = {"l": d_l, "lb": d_lb, "m": d_m, "mb": d_mb}
     off_frame = {leg: dv - v @ (v.conj().T @ dv) for leg, dv in d.items()}
     comp = {
         key: d[_CONJUGATE_LEG[a]].conj().T @ off_frame[b]
         - d[_CONJUGATE_LEG[b]].conj().T @ off_frame[a]
         for key, (a, b) in _COMPONENT_LEGS.items()
     }
-    return CurvatureForm(components=comp, point=p, m=m)
+    return CurvatureForm(comp)
 
 
 def curvature_from_components(
@@ -203,7 +190,6 @@ def curvature_from_components(
     """
     plan = DifferentiationPlan(h=h)
     a_lam, a_mu = a_field(p)
-    m = a_lam.shape[0]
     field = lambda lam, mu: np.stack(a_field(ParameterPoint(lam, mu)))
     (dl_al, dl_am), (dlb_al, dlb_am) = wirtinger_derivative(
         lambda z: field(z, p.mu), p.lam, plan
@@ -223,7 +209,7 @@ def curvature_from_components(
         "mmb": -(H(dmb_am) + dmb_am + comm(a_mu, H(a_mu))),
         "lbmb": -(H(dl_am) - H(dm_al) - comm(H(a_lam), H(a_mu))),
     }
-    return CurvatureForm(components=comp, point=p, m=m)
+    return CurvatureForm(comp)
 
 
 def global_form_check(
@@ -232,7 +218,7 @@ def global_form_check(
     space: TruncatedSpace,
     plan: Optional[DifferentiationPlan] = None,
 ) -> IdentityReport:
-    """Projector-level curvature against the frame-coordinate components.
+    """The curvature of the projector against the frame-coordinate components.
 
     For P = V V+ the gauge-invariant two-form P dP ^ dP, pushed to the
     frame block as V+ (.) V, must reproduce the closed components; the
@@ -244,10 +230,10 @@ def global_form_check(
     plan = _resolve(m, space, plan)
 
     def proj_at(q: ParameterPoint) -> np.ndarray:
-        v = vacuum_frame(q, m, space).matrix
+        v = vacuum_frame(q, m, space)
         return v @ v.conj().T
 
-    v = vacuum_frame(p, m, space).matrix
+    v = vacuum_frame(p, m, space)
     proj = v @ v.conj().T
     form = curvature_closed(p, m)
 
@@ -271,9 +257,6 @@ def global_form_check(
     return IdentityReport(
         interior_dev=interior,
         boundary_dev=boundary,
-        D=space.dim,
-        buffer=0,
-        label="global-two-form",
         extras={
             "llb_frame_dev": devs["llb"][0],
             "mmb_frame_dev": devs["mmb"][0],
@@ -286,12 +269,9 @@ def convergence_report(
     m: int,
     dims: Sequence[int],
     plan: Optional[DifferentiationPlan] = None,
-) -> ConvergenceReport:
-    """Connection oracle across increasing truncations.
-
-    Deviations are max-abs differences between consecutive dimensions;
-    `converged` means the final difference fell under 1e-8.
-    """
+) -> List[float]:
+    """Connection oracle across increasing truncations: the max-abs
+    differences between consecutive dimensions, one fewer than `dims`."""
     if len(dims) < 2:
         raise ValueError("need at least two dimensions")
     if list(dims) != sorted(set(dims)):
@@ -303,14 +283,9 @@ def convergence_report(
     for d in dims:
         oc = connection_numeric(p, m, TruncatedSpace(int(d)), plan)
         stacked.append(np.hstack([oc.a_lambda, oc.a_mu]))
-    deviations = [
+    return [
         float(np.abs(stacked[i + 1] - stacked[i]).max()) for i in range(len(stacked) - 1)
     ]
-    return ConvergenceReport(
-        dims=list(int(d) for d in dims),
-        deviations=deviations,
-        converged=bool(deviations[-1] < 1e-8),
-    )
 
 
 def derivative_identity_report(z: complex, h: float = 1e-5) -> IdentityReport:
@@ -362,9 +337,6 @@ def derivative_identity_report(z: complex, h: float = 1e-5) -> IdentityReport:
     return IdentityReport(
         interior_dev=worst,
         boundary_dev=worst,
-        D=0,
-        buffer=0,
-        label="derivative-identities",
         extras={
             "z": [z.real, z.imag],
             "h": h,

@@ -1,4 +1,4 @@
-"""Report dataclasses and deterministic JSON helpers.
+"""The identity-check report and deterministic JSON helpers.
 
 Every report that crosses the CLI boundary serializes complex numbers as
 two-element [re, im] arrays and matrices as row-major nested lists, so the
@@ -20,16 +20,11 @@ def matrix_payload(z) -> list:
     return np.stack([z.real, z.imag], -1).tolist()
 
 
-def dump_json(obj: Any, path=None) -> str:
+def dump_json(obj: Any) -> str:
     """Canonical dump: sorted keys, fixed separators. Identical input
     objects produce byte-identical text.  A NaN or infinity anywhere in
     `obj` raises ValueError."""
-    text = json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
-    if path is not None:
-        with open(path, "w") as fh:
-            fh.write(text)
-            fh.write("\n")
-    return text
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 @dataclass
@@ -39,21 +34,4 @@ class IdentityReport:
 
     interior_dev: float
     boundary_dev: float
-    D: int
-    buffer: int
-    label: str = ""
     extras: dict = field(default_factory=dict)
-
-
-@dataclass
-class SpectrumReport:
-    matched_count: int
-    max_dev: float
-    kernel_dim_estimate: int
-
-
-@dataclass
-class ConvergenceReport:
-    dims: list
-    deviations: list
-    converged: bool

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
@@ -11,6 +12,11 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+def unitarity_defect(u: np.ndarray) -> float:
+    """max |U+ U - 1| over the entries."""
+    return float(np.abs(u.conj().T @ u - np.eye(u.shape[0])).max())
 
 
 @pytest.fixture(scope="session")

@@ -177,7 +177,7 @@ def test_non_finite_result_exit_code(fmt, monkeypatch, tmp_path, capsys):
 
     def nan_connection(p, m):
         nan = np.full(np.shape(p.lam) + (m, m), np.nan, dtype=complex)
-        return ConnectionMatrices(nan, nan, p, m)
+        return ConnectionMatrices(nan, nan)
 
     monkeypatch.setattr("berry_holonomy.cli.connection_closed", nan_connection)
     out = tmp_path / "out"

@@ -138,7 +138,7 @@ def test_square_at_mu_zero_transports_without_warnings():
 
 def test_berry_phase_circle():
     loop = lambda_circle(0.5, mu=0.2j, samples=1024)
-    phases = parallel_transport(loop, 3).diagonal_phases
+    _, _, phases = parallel_transport(loop, 3)
     assert np.abs(phases - 2 * np.pi * 0.25).max() < 1e-9
 
 

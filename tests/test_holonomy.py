@@ -56,9 +56,9 @@ def test_square_loop_plane_validation():
 def test_holonomy_m1_quarter_circle():
     """r = 1/2 circle at mu = 0: the scalar holonomy is exp(-i pi / 2)."""
     loop = lambda_circle(0.5, samples=512)
-    res = parallel_transport(loop, 1)
-    assert abs(res.w[0, 0] - (-1j)) < 1e-9
-    assert res.path_length == pytest.approx(np.pi, abs=1e-6)
+    w, length, _ = parallel_transport(loop, 1)
+    assert abs(w[0, 0] - (-1j)) < 1e-9
+    assert length == pytest.approx(np.pi, abs=1e-6)
 
 
 @given(st.sampled_from([1, 2, 3]), st.floats(min_value=0.2, max_value=0.9))
@@ -79,9 +79,41 @@ def test_polygon_phases_trace_identity():
         ParameterPoint(0.25 - 0.2j, 0.1 - 0.35j),
     ]
     loop = polygon_loop(verts, samples_per_side=256)
-    result = parallel_transport(loop, 3)
-    total = result.diagonal_phases.sum() + np.angle(np.linalg.det(result.w))
+    w, _, phases = parallel_transport(loop, 3)
+    total = phases.sum() + np.angle(np.linalg.det(w))
     assert abs((total + np.pi) % (2 * np.pi) - np.pi) < 1e-9
+
+
+# vertices of the property tests below; mu varies along every side
+V0 = ParameterPoint(0.1 + 0.05j, 0.2 - 0.1j)
+LOOP_A = [V0, ParameterPoint(0.45 - 0.1j, 0.35 + 0.2j), ParameterPoint(0.2 + 0.4j, -0.15 + 0.3j)]
+LOOP_B = [V0, ParameterPoint(-0.3 + 0.2j, 0.4 - 0.25j), ParameterPoint(-0.1 - 0.35j, 0.1 + 0.45j)]
+
+
+def _polygon_w(verts):
+    return transport(polygon_loop(verts, samples_per_side=256), 3)
+
+
+def test_loop_reversal_gives_adjoint():
+    """Traversing a loop backwards from the same base vertex inverts W."""
+    v0, v1, v2 = LOOP_A
+    forward = _polygon_w([v0, v1, v2])
+    backward = _polygon_w([v0, v2, v1])
+    assert np.abs(backward - forward.conj().T).max() < 1e-12
+
+
+def test_loop_composition():
+    """Loop a, then loop b from the same base vertex: W(a + b) = W(b) W(a)."""
+    w_ab = _polygon_w(LOOP_A + LOOP_B)
+    assert np.abs(w_ab - _polygon_w(LOOP_B) @ _polygon_w(LOOP_A)).max() < 1e-12
+
+
+@pytest.mark.parametrize("center", [0.7 - 0.3j, -1.1 + 0.4j])
+def test_circle_phases_off_origin(center):
+    """The abelian phases of a lam-circle are 2 pi r^2 wherever it is centred."""
+    loop = lambda_circle(0.5, mu=0.2j, samples=256, center=center)
+    _, _, phases = parallel_transport(loop, 3)
+    assert np.abs(phases - 2 * np.pi * 0.25).max() < 1e-12
 
 
 def test_holonomy_converges_at_large_mu():

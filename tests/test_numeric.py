@@ -55,7 +55,6 @@ def test_oracle_matches_closed_connection(space96):
     assert np.abs(oc.a_lambda - cl.a_lambda).max() < 1e-6
     assert np.abs(oc.a_mu - cl.a_mu).max() < 1e-6
     assert oc.estimated_error < 1e-7
-    assert oc.D == 96 and oc.h == 1e-4
 
 
 def test_oracle_matches_closed_curvature(space96):
@@ -81,10 +80,8 @@ def test_global_form_check(space96):
 
 
 def test_convergence_report():
-    rep = convergence_report(ParameterPoint(0.3, 0.2), 2, (32, 64, 128))
-    assert rep.dims == [32, 64, 128]
-    assert len(rep.deviations) == 2
-    assert rep.converged
+    devs = convergence_report(ParameterPoint(0.3, 0.2), 2, (32, 64, 128))
+    assert len(devs) == 2 and devs[-1] < 1e-8
 
 
 def test_convergence_validation():
