@@ -21,7 +21,7 @@ from berry_holonomy import (
     f_squared,
     f_squared_from_wedge,
 )
-from berry_holonomy.cli import grid_points
+from berry_holonomy.cli import grid_points, stack_points
 from berry_holonomy.numeric import DifferentiationPlan
 
 
@@ -36,32 +36,21 @@ def main() -> None:
     space = TruncatedSpace(args.dim)
     plan = DifferentiationPlan(h=args.step)
     points = grid_points(args.grid)
+    batch = stack_points(points)
     print(f"grid: {len(points)} points, D = {args.dim}, h = {args.step:g}")
 
+    max_abs = lambda x, y: float(np.abs(x - y).max())
     for m in args.m:
         t0 = time.monotonic()
-        conn_worst = 0.0
-        curv_worst = {k: 0.0 for k in COMPONENT_KEYS}
-        wedge_worst = 0.0
-        for p in points:
-            closed = connection_closed(p, m)
-            oracle = connection_numeric(p, m, space, plan)
-            conn_worst = max(
-                conn_worst,
-                float(np.abs(closed.a_lambda - oracle.a_lambda).max()),
-                float(np.abs(closed.a_mu - oracle.a_mu).max()),
-            )
-            cc = curvature_closed(p, m)
-            cn = curvature_numeric(p, m, space, plan)
-            for k in COMPONENT_KEYS:
-                curv_worst[k] = max(
-                    curv_worst[k],
-                    float(np.abs(cc.components[k] - cn.components[k]).max()),
-                )
-            wedge_worst = max(
-                wedge_worst,
-                float(np.abs(f_squared_from_wedge(cc) - f_squared(p.mu, m)).max()),
-            )
+        closed = connection_closed(batch, m)
+        oracle = connection_numeric(batch, m, space, plan)
+        conn_worst = max(
+            max_abs(closed.a_lambda, oracle.a_lambda), max_abs(closed.a_mu, oracle.a_mu)
+        )
+        cc = curvature_closed(batch, m)
+        cn = curvature_numeric(batch, m, space, plan)
+        curv_worst = {k: max_abs(cc.components[k], cn.components[k]) for k in COMPONENT_KEYS}
+        wedge_worst = max_abs(f_squared_from_wedge(cc), f_squared(batch.mu, m))
         dt = time.monotonic() - t0
         print(f"m = {m}  connection worst {conn_worst:.3e}  "
               f"curvature worst {max(curv_worst.values()):.3e}  "

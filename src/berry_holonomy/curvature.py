@@ -130,12 +130,15 @@ def contract_two_form(form: CurvatureForm, u: tuple, v: tuple) -> np.ndarray:
 
 
 def f_squared(mu: complex, m: int) -> np.ndarray:
-    """Closed form of the F ^ F coefficient; K and L only."""
+    """Closed form of the F ^ F coefficient; K and L only, stacked
+    (..., m, m) for an array of mu."""
     if m < 1:
         raise ValueError("m must be positive")
     _, _, K, L = _basis(m)
-    cs_x = cosh_sinh_over(abs(mu))
-    return cs_x * (m * m * (m - 1) / 4.0 * L - m * m * (m + 1) / 2.0 * K)
+    # hypot is Python's abs(complex) bit for bit, so each point of an array
+    # gets exactly its scalar value
+    cs_x = cosh_sinh_over(np.hypot(np.real(mu), np.imag(mu)))
+    return cs_x[..., None, None] * (m * m * (m - 1) / 4.0 * L - m * m * (m + 1) / 2.0 * K)
 
 
 def f_squared_from_wedge(form: CurvatureForm) -> np.ndarray:
@@ -164,7 +167,8 @@ def curvature_span_dimension(
     points: Sequence[ParameterPoint], m: int, rtol: float = 1e-9
 ) -> int:
     """Real Lie-algebra dimension generated by plane contractions of the
-    closed curvature over the sample points."""
+    closed curvature over the sample points.  Raises ClosureNotStabilized
+    when commutator rounds keep finding new directions."""
     if not points:
         raise ValueError("need at least one sample point")
     els = []
@@ -172,5 +176,4 @@ def curvature_span_dimension(
         form = curvature_closed(p, m)
         for u, v in PLANE_TANGENTS.values():
             els.append(contract_two_form(form, u, v))
-    dim, _ = real_lie_closure(els, rtol=rtol)
-    return dim
+    return real_lie_closure(els, rtol=rtol)

@@ -4,7 +4,9 @@ H0 = N(N-1)...(N-m+1) has an m-fold degenerate vacuum spanned by the first
 m number states.  Conjugating by U(lam, mu) = displacement(lam) squeeze(mu)
 produces an isospectral family whose vacuum frame V = U V0 (V0 the first m
 coordinate columns) classifies the parameter point into the rank-m
-projectors via P = V V+.
+projectors via P = V V+.  `unitary_u`, `vacuum_frame` and
+`classifying_projector` take a ParameterPoint of arrays as a batch and
+stack their matrices behind its shape, from one factor-engine call.
 
 A multi-parameter extension replaces U by an ordered product of
 exponentials exp{(lam_j (a+)^j - conj(lam_j) a^j)/j}, j = 1..m.  For m = 2
@@ -24,7 +26,7 @@ from .fock import TruncatedSpace, apply_factors
 @dataclass(frozen=True)
 class ParameterPoint:
     """A point (lam, mu); arrays of one shape make it a batch of points for
-    the closed forms."""
+    the closed forms, the frames and the oracles."""
 
     lam: complex
     mu: complex
@@ -80,7 +82,7 @@ def vacuum_frame(p: ParameterPoint, m: int, space: TruncatedSpace) -> np.ndarray
 def classifying_projector(p: ParameterPoint, m: int, space: TruncatedSpace) -> np.ndarray:
     """P = V V+ for the vacuum frame V at p."""
     v = vacuum_frame(p, m, space)
-    return v @ v.conj().T
+    return v @ np.swapaxes(v.conj(), -1, -2)
 
 
 def isospectral_check(p: ParameterPoint, m: int, space: TruncatedSpace) -> Tuple[float, int]:

@@ -11,9 +11,10 @@ displacement and j = 2 the squeeze.  The diagonal R = exp(i arg(z) N / j)
 satisfies R (a+)^j R+ = e^{i arg z} (a+)^j exactly on the truncated space,
 so each factor is R exp(|z| G_j) R+ with G_j = ((a+)^j - a^j) / j.  One
 eigen-solve of i G_j per (D, j) then serves every z, and a factor costs
-O(D^2 k) on a D x k block.  The engine takes any factor list, so the
-oracle's one frame-derivative path (`numeric._frame_legs`) serves both the
-two-parameter and the generalized family.
+O(D^2 k) on a D x k block, where a batch of points folds into k.  The
+engine takes any factor list, so the oracle's one frame-derivative path
+(`numeric._frame_legs`) serves both the two-parameter and the generalized
+family.
 
 Every operator here is a plain complex ndarray; `make_operators` returns
 them in a dict keyed by name.
@@ -26,7 +27,6 @@ boundary deviation so the two effects are never conflated.
 """
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -104,16 +104,23 @@ def apply_factors(factors: Sequence[Tuple[int, complex]], x: np.ndarray) -> np.n
 
     `factors` lists (j, z) pairs left to right; the rows of x are the Fock
     levels, so x = identity gives the full unitary and x = its first m
-    columns gives a vacuum frame.
+    columns gives a vacuum frame.  The z broadcast to one batch shape S (a
+    scalar z is the batch of shape ()); the result has shape S + x.shape.
     """
     x = np.asarray(x, dtype=complex)
-    levels = np.arange(x.shape[0])
+    D = x.shape[0]
+    batch = np.broadcast_shapes(*(np.shape(z) for _, z in factors))
+    # y[:, p, c] is column c of x at point p
+    y = np.broadcast_to(x.reshape(D, 1, -1), (D, math.prod(batch), x[0].size))
+    levels = np.arange(D)[:, np.newaxis, np.newaxis]
+    mul = lambda a, y: (a @ y.reshape(D, -1)).reshape(y.shape)
     for j, z in reversed(factors):
-        w, v, vh = _generator_modes(x.shape[0], j)
-        phase = np.exp(1j * (cmath.phase(z) / j) * levels)[:, np.newaxis]
-        rot = np.exp(-1j * abs(z) * w)[:, np.newaxis]
-        x = phase * (v @ (rot * (vh @ (phase.conj() * x))))
-    return x
+        z = np.broadcast_to(np.asarray(z, dtype=complex), batch).reshape(1, -1, 1)
+        w, v, vh = _generator_modes(D, j)
+        phase = np.exp(1j * (np.angle(z) / j) * levels)
+        rot = np.exp(-1j * np.abs(z) * w[:, np.newaxis, np.newaxis])
+        y = phase * mul(v, rot * mul(vh, phase.conj() * y))
+    return np.moveaxis(y, 0, 1).reshape(batch + x.shape)
 
 
 def displacement(lam: complex, space: TruncatedSpace) -> np.ndarray:

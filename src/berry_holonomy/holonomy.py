@@ -37,7 +37,7 @@ from scipy.linalg import eigh, logm
 from .connection import loop_one_form
 from .curvature import PLANE_TANGENTS, contract_two_form, curvature_closed
 from .family import ParameterPoint
-from .lie import ClosureNotStabilized, real_lie_closure
+from .lie import real_lie_closure
 from .reports import IdentityReport
 
 
@@ -268,10 +268,7 @@ def holonomy_algebra_dimension(
             loop = square_loop(c, plane, eps, samples_per_side=steps_per_side)
             lw = logm(transport(loop, m))
             els.append(w_seg_i @ lw @ w_seg)
-    dim, stabilized = real_lie_closure(els, max_rounds=budget)
-    if not stabilized:
-        raise ClosureNotStabilized(dim, budget)
-    return dim
+    return real_lie_closure(els, max_rounds=budget)
 
 
 def transported_curvature_dimension(
@@ -299,8 +296,4 @@ def transported_curvature_dimension(
         form = curvature_closed(c, m)
         for u, v in PLANE_TANGENTS.values():
             els.append(w_seg_i @ contract_two_form(form, u, v) @ w_seg)
-    rounds = 6
-    dim, stabilized = real_lie_closure(els, max_rounds=rounds)
-    if not stabilized:
-        raise ClosureNotStabilized(dim, rounds)
-    return dim
+    return real_lie_closure(els, max_rounds=6)

@@ -7,7 +7,7 @@ u(m) the answer is bounded by m^2.
 """
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -46,11 +46,12 @@ def numerical_rank(mats: Sequence[np.ndarray], rtol: float = 1e-9) -> int:
 
 def real_lie_closure(
     gens: Sequence[np.ndarray], rtol: float = 1e-9, max_rounds: int = 8
-) -> Tuple[int, bool]:
-    """(dimension, stabilized) of the closure under commutators.
+) -> int:
+    """Dimension of the closure under commutators.
 
     Each round commutes all current pairs, appends the nonzero results, and
     recomputes the rank; stabilization means one full round added nothing.
+    Raises ClosureNotStabilized when `max_rounds` rounds do not stabilize.
     The basis list is capped to keep the pairwise pass quadratic in a small
     number; the cap is far above m^2 for any m this library handles.
     """
@@ -59,7 +60,7 @@ def real_lie_closure(
     ]
     dim = numerical_rank(basis, rtol)
     if dim == 0:
-        return 0, True
+        return 0
     for _ in range(max_rounds):
         fresh = []
         for i in range(len(basis)):
@@ -69,12 +70,12 @@ def real_lie_closure(
                     fresh.append(c / np.abs(c).max())
         new_dim = numerical_rank(basis + fresh, rtol)
         if new_dim == dim:
-            return dim, True
+            return dim
         basis = basis + fresh
         dim = new_dim
         if len(basis) > 400:
             basis = _compress(basis, dim, rtol)
-    return dim, False
+    raise ClosureNotStabilized(dim, max_rounds)
 
 
 def _compress(basis: List[np.ndarray], dim: int, rtol: float) -> List[np.ndarray]:

@@ -4,7 +4,10 @@ Everything here differentiates the vacuum frame V = U V0 directly (V0 the
 first m number states), with no knowledge of the closed-form scalar
 profiles; agreement between this module and the closed expressions is the
 library's primary self-check.  Frames come from the factor engine
-`fock.apply_factors` at O(D^2 m) each, so no unitary is ever formed.
+`fock.apply_factors`, so no unitary is ever formed.  Like the closed forms,
+the two-parameter oracles are array-valued: a ParameterPoint of arrays is a
+batch, each stencil frame is one engine call for all of it, and the matrices
+come back stacked with shape (..., m, m).
 
 The connection is A_a = V+ d_a V.  The curvature needs first derivatives
 only: with P = V V+,
@@ -40,7 +43,7 @@ import numpy as np
 
 from .connection import ConnectionMatrices, tanhc
 from .curvature import CurvatureForm, curvature_closed
-from .family import GeneralizedPoint, ParameterPoint, vacuum_frame
+from .family import GeneralizedPoint, ParameterPoint, classifying_projector, vacuum_frame
 from .fock import TruncatedSpace, apply_factors
 from .reports import IdentityReport
 
@@ -77,13 +80,17 @@ def wirtinger_derivative(
 
 @dataclass
 class OracleConnection(ConnectionMatrices):
-    estimated_error: float
+    estimated_error: np.ndarray  # one per point of the batch
 
 
 @dataclass
 class GeneralizedOracleConnection:
     a: List[np.ndarray]
     a_bar: List[np.ndarray]
+
+
+def _dagger(mat: np.ndarray) -> np.ndarray:
+    return np.swapaxes(mat.conj(), -1, -2)
 
 
 def _resolve(m: int, space: TruncatedSpace, plan: Optional[DifferentiationPlan]):
@@ -98,7 +105,8 @@ def _frame_legs(
     factors: List[Tuple[int, complex]], m: int, space: TruncatedSpace, plan: DifferentiationPlan
 ) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
     """The frame V = prod_k exp((z_k (a+)^j_k - conj(z_k) a^j_k) / j_k) V0
-    for the (j, z) `factors`, and (d_z V, d_zbar V) for each factor's z."""
+    for the (j, z) `factors`, and (d_z V, d_zbar V) for each factor's z;
+    array z give stacked frames, as in the engine."""
     v0 = np.eye(space.dim)[:, :m]
     legs = []
     for k, (j, z0) in enumerate(factors):
@@ -111,14 +119,12 @@ def _two_parameter_oracle(
     p: ParameterPoint, m: int, space: TruncatedSpace, plan: DifferentiationPlan
 ) -> OracleConnection:
     v, legs = _frame_legs([(1, p.lam), (2, p.mu)], m, space, plan)
-    vh = v.conj().T
+    vh = _dagger(v)
     (a_l, a_lb), (a_m, a_mb) = [(vh @ d_z, vh @ d_zb) for d_z, d_zb in legs]
     # the conjugate legs must be the negated adjoints; the defect is a
     # direct read of the finite-difference error level
-    err = max(
-        float(np.abs(a_lb + a_l.conj().T).max()),
-        float(np.abs(a_mb + a_m.conj().T).max()),
-    )
+    defect = lambda a, a_bar: np.abs(a_bar + _dagger(a)).max(axis=(-2, -1))
+    err = np.maximum(defect(a_l, a_lb), defect(a_m, a_mb))
     return OracleConnection(a_l, a_m, estimated_error=err)
 
 
@@ -126,7 +132,7 @@ def _generalized_oracle(
     p: GeneralizedPoint, m: int, space: TruncatedSpace, plan: DifferentiationPlan
 ) -> GeneralizedOracleConnection:
     v, legs = _frame_legs(list(enumerate(p.lambdas, start=1)), m, space, plan)
-    vh = v.conj().T
+    vh = _dagger(v)
     return GeneralizedOracleConnection(
         a=[vh @ d_z for d_z, _ in legs], a_bar=[vh @ d_zb for _, d_zb in legs]
     )
@@ -138,7 +144,9 @@ def connection_numeric(
     space: TruncatedSpace,
     plan: Optional[DifferentiationPlan] = None,
 ):
-    """Connection matrices A_a = V+ d_a V by direct differentiation of the frame."""
+    """Connection matrices A_a = V+ d_a V by direct differentiation of the
+    frame; a two-parameter batch gives stacked matrices and a per-point
+    `estimated_error`."""
     plan = _resolve(m, space, plan)
     if isinstance(p, GeneralizedPoint):
         return _generalized_oracle(p, m, space, plan)
@@ -163,14 +171,15 @@ def curvature_numeric(
     space: TruncatedSpace,
     plan: Optional[DifferentiationPlan] = None,
 ) -> CurvatureForm:
-    """Curvature from first derivatives of the frame (see the module note)."""
+    """Curvature from first derivatives of the frame (see the module note),
+    stacked (..., m, m) for a batch of points."""
     plan = _resolve(m, space, plan)
     v, ((d_l, d_lb), (d_m, d_mb)) = _frame_legs([(1, p.lam), (2, p.mu)], m, space, plan)
     d = {"l": d_l, "lb": d_lb, "m": d_m, "mb": d_mb}
-    off_frame = {leg: dv - v @ (v.conj().T @ dv) for leg, dv in d.items()}
+    off_frame = {leg: dv - v @ (_dagger(v) @ dv) for leg, dv in d.items()}
     comp = {
-        key: d[_CONJUGATE_LEG[a]].conj().T @ off_frame[b]
-        - d[_CONJUGATE_LEG[b]].conj().T @ off_frame[a]
+        key: _dagger(d[_CONJUGATE_LEG[a]]) @ off_frame[b]
+        - _dagger(d[_CONJUGATE_LEG[b]]) @ off_frame[a]
         for key, (a, b) in _COMPONENT_LEGS.items()
     }
     return CurvatureForm(comp)
@@ -198,7 +207,7 @@ def curvature_from_components(
         lambda z: field(p.lam, z), p.mu, plan
     )
 
-    H = lambda M: M.conj().T
+    H = _dagger
     comm = lambda X, Y: X @ Y - Y @ X
 
     comp = {
@@ -228,23 +237,16 @@ def global_form_check(
     constrain, so it is reported but not expected to be small).
     """
     plan = _resolve(m, space, plan)
-
-    def proj_at(q: ParameterPoint) -> np.ndarray:
-        v = vacuum_frame(q, m, space)
-        return v @ v.conj().T
-
+    proj_at = lambda lam, mu: classifying_projector(ParameterPoint(lam, mu), m, space)
     v = vacuum_frame(p, m, space)
     proj = v @ v.conj().T
     form = curvature_closed(p, m)
 
     devs = {}
-    for key, leg in (("llb", "lam"), ("mmb", "mu")):
-        if leg == "lam":
-            f = lambda z: proj_at(ParameterPoint(z, p.mu))
-            z0 = p.lam
-        else:
-            f = lambda z: proj_at(ParameterPoint(p.lam, z))
-            z0 = p.mu
+    for key, f, z0 in (
+        ("llb", lambda z: proj_at(z, p.mu), p.lam),
+        ("mmb", lambda z: proj_at(p.lam, z), p.mu),
+    ):
         dp_z, dp_zb = wirtinger_derivative(f, z0, plan)
         lhs = proj @ (dp_z @ dp_zb - dp_zb @ dp_z)
         rhs = v @ form.components[key] @ v.conj().T

@@ -105,6 +105,7 @@ def test_verify_passes_and_is_deterministic(tmp_path):
     for sec in sections.values():
         assert sec["passed"] is True
     assert 0.0 < sections["connection"]["max_estimated_error"] < 1e-6
+    assert 0.0 < sections["connection"]["max_truncation_error"] < 1e-6
 
 
 def test_verify_breach_exit_code(tmp_path):
@@ -112,6 +113,16 @@ def test_verify_breach_exit_code(tmp_path):
     code, doc = run(["verify", "--m", "2", "--tolerance", "1e-30"], tmp_path)
     assert code == 1
     assert doc["payload"]["passed"] is False
+
+
+def test_verify_truncation_term_exceeds_stencil_estimate(tmp_path):
+    """At D = 48 the cut, not the stencil, limits the oracle: the D vs 3D/4
+    difference (5.8e-3 measured) dwarfs the conjugate-leg estimate
+    (1.1e-8), and the connection gate fails on the default grid."""
+    code, doc = run(["verify", "--m", "2", "--dim", "48", "--grid", "default"], tmp_path)
+    conn = doc["payload"]["sections"]["connection"]
+    assert code == 1 and conn["passed"] is False
+    assert conn["max_truncation_error"] > 1e4 * conn["max_estimated_error"]
 
 
 def test_bad_config_exit_codes(tmp_path, capsys):
@@ -124,6 +135,9 @@ def test_bad_config_exit_codes(tmp_path, capsys):
         main(["verify", "--format", "csv"])
     assert exc.value.code == 2
     assert main(["verify", "--tolerance", "nan"]) == 2
+    # the truncation oracle at 3D/4 = 3 needs m < 3
+    assert main(["verify", "--m", "3", "--dim", "4"]) == 2
+    assert "m must be smaller than the space dimension" in capsys.readouterr().err
     assert main(["connection", "--m", "2", "--grid", "/missing.json"]) == 2
     assert main(["holonomy", "--loop", "/missing.json"]) == 2
     capsys.readouterr()

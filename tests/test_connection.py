@@ -13,6 +13,7 @@ from berry_holonomy import (
     contract_two_form,
     curvature_closed,
     derivative_identity_report,
+    f_squared,
     lambda_circle,
     parallel_transport,
     square_loop,
@@ -113,6 +114,7 @@ def test_batch_equals_pointwise():
             batch = ParameterPoint(lam, mu)
             cm = connection_closed(batch, m)
             form = curvature_closed(batch, m)
+            f2 = f_squared(mu, m)
             assert cm.a_lambda.shape == cm.a_mu.shape == (mags.size, m, m)
             for k in range(mags.size):
                 p = ParameterPoint(complex(lam[k]), complex(mu[k]))
@@ -121,6 +123,7 @@ def test_batch_equals_pointwise():
                 assert np.abs(cm.a_mu[k] - one.a_mu).max() <= 1e-14
                 for key, comp in curvature_closed(p, m).components.items():
                     assert np.abs(form.components[key][k] - comp).max() <= 1e-14
+                assert np.array_equal(f2[k], f_squared(p.mu, m))
 
 
 def test_square_at_mu_zero_transports_without_warnings():

@@ -1,9 +1,12 @@
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
 from berry_holonomy import (
     COMPONENT_KEYS,
+    ClosureNotStabilized,
     ParameterPoint,
     connection_closed,
     contract_two_form,
@@ -115,3 +118,11 @@ def test_span_dimension_and_validation():
     assert curvature_span_dimension(pts, 3) == 4
     with pytest.raises(ValueError):
         curvature_span_dimension([], 2)
+
+
+def test_span_dimension_raises_when_closure_keeps_growing(monkeypatch):
+    """A rank that grows every round is an error, not a partial dimension."""
+    ranks = itertools.count(1)
+    monkeypatch.setattr("berry_holonomy.lie.numerical_rank", lambda mats, rtol: next(ranks))
+    with pytest.raises(ClosureNotStabilized):
+        curvature_span_dimension([ParameterPoint(0.32 + 0.21j, 0.43 + 0.14j)], 3)

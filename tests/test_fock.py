@@ -14,7 +14,7 @@ from berry_holonomy import (
     squeeze,
     unitary_u_generalized,
 )
-from berry_holonomy.fock import displacement_buffer, squeeze_buffer
+from berry_holonomy.fock import apply_factors, displacement_buffer, squeeze_buffer
 from conftest import unitarity_defect
 
 amplitudes = st.complex_numbers(
@@ -150,6 +150,22 @@ def test_factor_engine_against_reference(space128):
                 got = unitary_u_generalized(GeneralizedPoint((0.0, 0.0, z)), space128)
             scale = np.linalg.norm(g, 2)
             assert np.abs(got - ref).max() < 1e-13 * max(1.0, scale / 100.0), (z, j)
+
+
+@pytest.mark.parametrize("mu", [0.4 + 0.25j, np.array([0.4 + 0.25j, -0.3, 0.0])])
+def test_apply_factors_batch_equals_pointwise(mu):
+    """z arrays broadcast to one batch shape S and give S + x.shape; a
+    scalar mu broadcasts against the array of lam, and scalar z give the
+    batch of shape ()."""
+    lam = np.array([[0.3 - 0.2j], [-0.6j]])
+    v0 = np.eye(64)[:, :3]
+    got = apply_factors([(1, lam), (2, mu)], v0)
+    lam_b, mu_b = np.broadcast_arrays(lam, mu)
+    assert got.shape == lam_b.shape + (64, 3)
+    for idx in np.ndindex(lam_b.shape):
+        one = apply_factors([(1, complex(lam_b[idx])), (2, complex(mu_b[idx]))], v0)
+        assert one.shape == (64, 3)
+        assert np.abs(got[idx] - one).max() < 1e-14
 
 
 def test_buffers_bracketed():

@@ -172,6 +172,4 @@ def test_rank_and_closure_basics():
     assert numerical_rank([e01]) == 1
     assert numerical_rank([e01, 2 * e01]) == 1
     # sl(2) from the two nilpotents: commutator adds the Cartan direction
-    dim, stabilized = real_lie_closure([1j * (e01 + e10), e01 - e10])
-    assert stabilized
-    assert dim == 3
+    assert real_lie_closure([1j * (e01 + e10), e01 - e10]) == 3

@@ -57,6 +57,27 @@ def test_oracle_matches_closed_connection(space96):
     assert oc.estimated_error < 1e-7
 
 
+def test_oracle_batch_equals_pointwise(space64):
+    """A batch gives the stacked single-point oracles and a per-point
+    estimated error; a scalar mu broadcasts against the array of lam."""
+    lam = np.array([0.31 + 0.17j, -0.4j, 0.0])
+    mu = 0.23 - 0.41j
+    batch = ParameterPoint(lam, mu)
+    oc = connection_numeric(batch, 3, space64)
+    form = curvature_numeric(batch, 3, space64)
+    assert oc.a_lambda.shape == oc.a_mu.shape == (3, 3, 3)
+    assert oc.estimated_error.shape == (3,)
+    for k in range(3):
+        p = ParameterPoint(complex(lam[k]), mu)
+        one = connection_numeric(p, 3, space64)
+        assert np.shape(one.estimated_error) == ()
+        assert np.abs(oc.a_lambda[k] - one.a_lambda).max() < 1e-10
+        assert np.abs(oc.a_mu[k] - one.a_mu).max() < 1e-10
+        assert abs(oc.estimated_error[k] - one.estimated_error) < 1e-10
+        for key, comp in curvature_numeric(p, 3, space64).components.items():
+            assert np.abs(form.components[key][k] - comp).max() < 1e-10
+
+
 def test_oracle_matches_closed_curvature(space96):
     got = curvature_numeric(POINT, 2, space96)
     want = curvature_closed(POINT, 2)
