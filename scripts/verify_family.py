@@ -21,7 +21,7 @@ from berry_holonomy import (
     f_squared,
     f_squared_from_wedge,
 )
-from berry_holonomy.cli import grid_points, stack_points
+from berry_holonomy.cli import factorization_points, grid_points, stack_points
 from berry_holonomy.numeric import DifferentiationPlan
 
 
@@ -61,8 +61,7 @@ def main() -> None:
     small = TruncatedSpace(64)
     bch = max(
         bch_identity_report(p.lam, p.mu, small).interior_dev
-        for p in points
-        if abs(p.lam) <= 0.5 and abs(p.mu) <= 0.5
+        for p in factorization_points(points)
     )
     ident = max(
         derivative_identity_report(z).interior_dev

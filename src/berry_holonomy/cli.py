@@ -18,13 +18,14 @@ between identical runs (timestamps, runtime) lives under "meta"; the
 "payload" object is byte-stable for byte-for-byte comparison.
 
 Exit codes: 0 success (all checks passed where applicable), 1 tolerance
-breach, 2 configuration error (including non-finite inputs and files that
-cannot be opened), 3 numerical failure (an overflow, invalid operation or
-division by zero in numpy, a linear-algebra routine that did not converge, a
-transport step too large for the loop's samples, a closure that did not
-stabilize, or a non-finite result; nothing is written then).  The exit-3
-message names the failed floating-point operation, as in "numerical failure:
-overflow encountered in multiply".
+breach, 2 configuration error (including non-finite inputs, files that
+cannot be opened, and inputs that ask for an array too large to allocate;
+the message names the allocation), 3 numerical failure (an overflow, invalid
+operation or division by zero in numpy, a linear-algebra routine that did
+not converge, a transport step too large for the loop's samples, a closure
+that did not stabilize, or a non-finite result; nothing is written then).
+The exit-3 message names the failed floating-point operation, as in
+"numerical failure: overflow encountered in multiply".
 """
 from __future__ import annotations
 
@@ -218,6 +219,13 @@ def stack_points(points: Sequence[ParameterPoint]) -> ParameterPoint:
     )
 
 
+def factorization_points(points: Sequence[ParameterPoint]) -> List[ParameterPoint]:
+    """The points with |lam|, |mu| <= 0.5 for the factorization check at
+    D = 64, or one fixed point when the grid holds none."""
+    small = [p for p in points if abs(p.lam) <= 0.5 and abs(p.mu) <= 0.5]
+    return small or [ParameterPoint(0.25 + 0.1j, 0.2 - 0.15j)]
+
+
 def _sweep(
     fields: Callable[[ParameterPoint, int], List[Tuple[str, np.ndarray]]],
     args: argparse.Namespace,
@@ -310,9 +318,7 @@ def _verify(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
     )
 
     bch_space = TruncatedSpace(64)
-    bch_points = [p for p in points if abs(p.lam) <= 0.5 and abs(p.mu) <= 0.5]
-    if not bch_points:
-        bch_points = [ParameterPoint(0.25 + 0.1j, 0.2 - 0.15j)]
+    bch_points = factorization_points(points)
     bch_dev = max(bch_identity_report(p.lam, p.mu, bch_space).interior_dev for p in bch_points)
     sections["bch"] = section(
         "max_interior_dev", bch_dev, 1e-8, D=bch_space.dim, points=len(bch_points)
@@ -499,8 +505,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ClosureNotStabilized, OverflowError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    # ConfigError, bad values, and input or output files that cannot be opened
-    except (ValueError, OSError) as exc:
+    # ConfigError, bad values, input or output files that cannot be opened,
+    # and arrays sized by the input (dim, m, samples) too large to allocate
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
 

@@ -58,20 +58,10 @@ def unitary_u(p: ParameterPoint, space: TruncatedSpace) -> np.ndarray:
     return apply_factors([(1, p.lam), (2, p.mu)], np.eye(space.dim))
 
 
-def unitary_u_generalized(
-    p: GeneralizedPoint, space: TruncatedSpace, order: str = "ascending"
-) -> np.ndarray:
-    """Ordered product of exp{(lam_j (a+)^j - conj(lam_j) a^j)/j}.
-
-    `order` fixes the convention for the path-ordered product: "ascending"
-    applies j = 1..m left to right, "descending" reverses the factors.
-    """
-    if order not in ("ascending", "descending"):
-        raise ValueError("order must be 'ascending' or 'descending'")
-    factors = list(enumerate(p.lambdas, start=1))
-    if order == "descending":
-        factors.reverse()
-    return apply_factors(factors, np.eye(space.dim))
+def unitary_u_generalized(p: GeneralizedPoint, space: TruncatedSpace) -> np.ndarray:
+    """Ordered product of exp{(lam_j (a+)^j - conj(lam_j) a^j)/j}, j = 1..m
+    left to right."""
+    return apply_factors(list(enumerate(p.lambdas, start=1)), np.eye(space.dim))
 
 
 def vacuum_frame(p: ParameterPoint, m: int, space: TruncatedSpace) -> np.ndarray:

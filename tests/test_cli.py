@@ -154,6 +154,22 @@ def test_bad_config_exit_codes(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--dim", "100000000"],
+        ["holonomy", "--samples", "10000000000000000"],
+        ["connection", "--grid", "small", "--m", "3000000"],
+    ],
+)
+def test_allocation_failure_exit_code(argv, tmp_path, capsys):
+    # each asks for more than 2^47 bytes, which a 64-bit Linux refuses up front
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    assert "Unable to allocate" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_numerical_failure_exit_code(tmp_path, capsys):
     # one overflowing point among finite ones fails the whole sweep
     grid = tmp_path / "g.json"

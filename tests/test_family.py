@@ -70,18 +70,6 @@ def test_generalized_two_parameter_reduction(space64):
     assert np.abs(ug - u2).max() < 1e-13
 
 
-def test_generalized_order_matters(space64):
-    gp = GeneralizedPoint((0.4, 0.3, 0.2))
-    asc = unitary_u_generalized(gp, space64, order="ascending")
-    desc = unitary_u_generalized(gp, space64, order="descending")
-    assert np.abs(asc - desc).max() > 1e-4
-
-
-def test_generalized_order_validation(space64):
-    with pytest.raises(ValueError):
-        unitary_u_generalized(GeneralizedPoint((0.1,)), space64, order="sideways")
-
-
 def test_generalized_point_coerces():
     gp = GeneralizedPoint((0.5, 1))
     assert all(isinstance(z, complex) for z in gp.lambdas)

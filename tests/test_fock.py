@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -14,7 +15,12 @@ from berry_holonomy import (
     squeeze,
     unitary_u_generalized,
 )
-from berry_holonomy.fock import apply_factors, displacement_buffer, squeeze_buffer
+from berry_holonomy.fock import (
+    _raising_exp,
+    apply_factors,
+    displacement_buffer,
+    squeeze_buffer,
+)
 from conftest import unitarity_defect
 
 amplitudes = st.complex_numbers(
@@ -166,6 +172,30 @@ def test_apply_factors_batch_equals_pointwise(mu):
         one = apply_factors([(1, complex(lam_b[idx])), (2, complex(mu_b[idx]))], v0)
         assert one.shape == (64, 3)
         assert np.abs(got[idx] - one).max() < 1e-14
+
+
+EIGHTH_TURN = cmath.exp(0.25j * math.pi)
+
+
+@pytest.mark.parametrize("D", [16, 64])
+@pytest.mark.parametrize("j", [1, 2])
+@pytest.mark.parametrize(
+    "c", [0, 0.3 + 0.2j, -0.7j, EIGHTH_TURN, 0.5 * math.tanh(1) * EIGHTH_TURN]
+)
+def test_raising_exp_entries(D, j, c):
+    """exp(c (a+)^j) entry by entry against c^q/q! sqrt((k+jq)!/k!) from
+    exact integer factorials; the last c is zeta/2 at mu = e^{i pi/4}.
+    Above D = 64 the float reference's own error nears the gate."""
+    got = _raising_exp(c, j, D)
+    ref = np.zeros((D, D), dtype=complex)
+    for k in range(D):
+        for q in range((D - 1 - k) // j + 1):
+            fact = math.factorial(k + j * q) // math.factorial(k)
+            ref[k + j * q, k] = c**q / math.factorial(q) * math.sqrt(fact)
+    nonzero = ref != 0
+    assert np.all(got[~nonzero] == 0)
+    rel = np.abs(got[nonzero] - ref[nonzero]) / np.abs(ref[nonzero])
+    assert rel.max() <= 1e-14
 
 
 def test_buffers_bracketed():

@@ -9,6 +9,21 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
+def run_script(script, args):
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    env["PYTHONWARNINGS"] = "error"
+    return subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / script), *args],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        cwd=ROOT,
+        env=env,
+    )
+
+
 @pytest.mark.parametrize(
     "script, args",
     [
@@ -18,17 +33,16 @@ ROOT = Path(__file__).resolve().parent.parent
     ],
 )
 def test_script_runs(script, args):
-    env = dict(os.environ)
-    src = str(ROOT / "src")
-    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    env["PYTHONWARNINGS"] = "error"
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / script), *args],
-        capture_output=True,
-        text=True,
-        timeout=120,
-        cwd=ROOT,
-        env=env,
-    )
+    proc = run_script(script, args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
+
+
+def test_verify_family_without_small_points(tmp_path):
+    """A grid with no point inside |lam|, |mu| <= 0.5 falls back to the
+    fixed factorization point, as `verify` does."""
+    grid = tmp_path / "far.json"
+    grid.write_text('[["0.9", "0.8"]]')
+    proc = run_script("verify_family.py", ["--dim", "64", "--m", "2", "--grid", str(grid)])
+    assert proc.returncode == 0, proc.stderr
+    assert "factorization interior worst" in proc.stdout
