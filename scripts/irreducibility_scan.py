@@ -11,16 +11,11 @@ every m probed here.
 import argparse
 
 from berry_holonomy import (
-    ParameterPoint,
     curvature_span_dimension,
     holonomy_algebra_dimension,
     transported_curvature_dimension,
 )
-
-CENTERS = (
-    ParameterPoint(0.32 + 0.21j, 0.43 + 0.14j),
-    ParameterPoint(0.25 - 0.15j, 0.52 + 0.33j),
-)
+from berry_holonomy.cli import IRREDUCIBILITY_CENTERS as CENTERS
 
 
 def main() -> None:

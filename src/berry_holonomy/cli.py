@@ -18,12 +18,13 @@ between identical runs (timestamps, runtime) lives under "meta"; the
 "payload" object is byte-stable for byte-for-byte comparison.
 
 Exit codes: 0 success (all checks passed where applicable), 1 tolerance
-breach, 2 configuration error (including non-finite inputs, files that
-cannot be opened, and inputs that ask for an array too large to allocate;
-the message names the allocation), 3 numerical failure (an overflow, invalid
-operation or division by zero in numpy, a linear-algebra routine that did
-not converge, a transport step too large for the loop's samples, a closure
-that did not stabilize, or a non-finite result; nothing is written then).
+breach, 2 configuration error (including non-finite inputs, a tolerance of
+zero or below, files that cannot be opened, and inputs that ask for an
+array too large to allocate; the message names the allocation), 3
+numerical failure (an overflow, invalid operation or division by zero in
+numpy, a linear-algebra routine that did not converge, a transport step too
+large for the loop's samples, a closure that did not stabilize, or a
+non-finite result; nothing is written then).
 The exit-3 message names the failed floating-point operation, as in
 "numerical failure: overflow encountered in multiply".
 """
@@ -161,7 +162,7 @@ LIMITS = {
     "step": (lambda v: 1e-8 <= v <= 1e-2, "step size out of the supported range"),
     "samples": (lambda v: v >= 4, "samples must be at least 4"),
     "format": (lambda v: v in ("json", "csv"), "unknown format {!r}"),
-    "tolerance": (math.isfinite, "tolerance must be finite"),
+    "tolerance": (lambda v: 0 < v < math.inf, "tolerance must be positive and finite"),
 }
 
 
@@ -211,19 +212,12 @@ def _complex_arg(args: argparse.Namespace, name: str, default: complex) -> compl
     return default if text is None else parse_complex(text)
 
 
-def stack_points(points: Sequence[ParameterPoint]) -> ParameterPoint:
+def _stack_points(points: Sequence[ParameterPoint]) -> ParameterPoint:
     """The points as one batch for the closed forms and the oracles."""
     return ParameterPoint(
         np.array([p.lam for p in points], dtype=complex),
         np.array([p.mu for p in points], dtype=complex),
     )
-
-
-def factorization_points(points: Sequence[ParameterPoint]) -> List[ParameterPoint]:
-    """The points with |lam|, |mu| <= 0.5 for the factorization check at
-    D = 64, or one fixed point when the grid holds none."""
-    small = [p for p in points if abs(p.lam) <= 0.5 and abs(p.mu) <= 0.5]
-    return small or [ParameterPoint(0.25 + 0.1j, 0.2 - 0.15j)]
 
 
 def _sweep(
@@ -239,7 +233,7 @@ def _sweep(
         points = grid_points(cfg.grid or "default")
     else:
         points = [ParameterPoint(_complex_arg(args, "lam", 0.0), _complex_arg(args, "mu", 0.0))]
-    batch = stack_points(points)
+    batch = _stack_points(points)
     named = [("lambda", batch.lam), ("mu", batch.mu)] + fields(batch, cfg.m)
     if cfg.format == "json":
         names = [name for name, _ in named]
@@ -281,7 +275,7 @@ def _verify(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
         t = cfg.tolerance if cfg.tolerance is not None else default_tol
         return {key: dev, "tolerance": t, "passed": bool(dev < t), **extra}
 
-    batch = stack_points(points)
+    batch = _stack_points(points)
     conn = connection_closed(batch, m)
     oracle = connection_numeric(batch, m, space, plan)
     # the oracle at 3D/4: how far truncation alone moves it (informational)
@@ -317,8 +311,12 @@ def _verify(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
         "oracle_pair_dev", pair_dev, 1e-5, closed_formula_dev=formula_dev, discrepancies=worst
     )
 
+    # the factorization check at D = 64 takes the points with |lam|, |mu| <= 0.5,
+    # or one fixed point when the grid holds none
     bch_space = TruncatedSpace(64)
-    bch_points = factorization_points(points)
+    bch_points = [p for p in points if abs(p.lam) <= 0.5 and abs(p.mu) <= 0.5] or [
+        ParameterPoint(0.25 + 0.1j, 0.2 - 0.15j)
+    ]
     bch_dev = max(bch_identity_report(p.lam, p.mu, bch_space).interior_dev for p in bch_points)
     sections["bch"] = section(
         "max_interior_dev", bch_dev, 1e-8, D=bch_space.dim, points=len(bch_points)

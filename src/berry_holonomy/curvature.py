@@ -163,9 +163,7 @@ def chern_trace_forms(mu: complex, m: int) -> Dict[str, complex]:
     return {"tr_f_squared": tr_f2, "tr_f_wedge_tr_f": tr_wedge_of_traces}
 
 
-def curvature_span_dimension(
-    points: Sequence[ParameterPoint], m: int, rtol: float = 1e-9
-) -> int:
+def curvature_span_dimension(points: Sequence[ParameterPoint], m: int) -> int:
     """Real Lie-algebra dimension generated by plane contractions of the
     closed curvature over the sample points.  Raises ClosureNotStabilized
     when commutator rounds keep finding new directions."""
@@ -176,4 +174,4 @@ def curvature_span_dimension(
         form = curvature_closed(p, m)
         for u, v in PLANE_TANGENTS.values():
             els.append(contract_two_form(form, u, v))
-    return real_lie_closure(els, rtol=rtol)
+    return real_lie_closure(els)

@@ -15,15 +15,16 @@ log W = -F(u, v) eps^2 + O(eps^3); halving eps divides the residual against
 the closed curvature by about eight, which `small_loop_check` reports as a
 ratio.
 
-Two routes measure the real dimension of the holonomy algebra at a base
-point.  `holonomy_algebra_dimension` closes small-loop logarithms conjugated
-back to the base point along straight segments.
+Two routes measure the real dimension of the holonomy algebra based at the
+origin.  `holonomy_algebra_dimension` closes small-loop logarithms conjugated
+back to the origin along straight segments.
 `transported_curvature_dimension` is the Ambrose-Singer route: it closes the
 closed-form curvature contractions at the loop centers, transported back
 along the same segments.  In both the transport matters: the generated
 algebra can exceed the span of the untransported curvature contractions
 (`curvature_span_dimension`), because transport mixes in covariant
-derivatives of the curvature.
+derivatives of the curvature.  Loop sides, step counts and the closure's
+round budget are the module constants below.
 """
 from __future__ import annotations
 
@@ -39,6 +40,16 @@ from .curvature import PLANE_TANGENTS, contract_two_form, curvature_closed
 from .family import ParameterPoint
 from .lie import real_lie_closure
 from .reports import IdentityReport
+
+# steps per side of the squares whose logarithm `small_loop_check` compares
+CHECK_STEPS_PER_SIDE = 384
+# side and steps per side of the small loops of `holonomy_algebra_dimension`
+ALGEBRA_EPS = 1e-2
+ALGEBRA_STEPS_PER_SIDE = 128
+# steps of the segment that carries each center's generators to the origin
+SEGMENT_STEPS = 256
+# commutator rounds both algebra routes allow before ClosureNotStabilized
+CLOSURE_ROUNDS = 6
 
 
 @dataclass
@@ -153,22 +164,23 @@ def transport(
     projection at the end.
 
     Every step exponentiates Omega = -h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1]
-    from the one-form at its two Gauss nodes, all steps through one batched
-    `eigh` of i Omega; `one_form` is `loop_one_form(loop, m)` when the
-    caller has it already.  The polar projection removes the roundoff that
-    the product of many steps accumulates, which would otherwise reach the
-    logarithm of a small loop.  Raises FloatingPointError when a step's
-    i Omega has an eigenvalue of magnitude pi or more (or not finite): such
-    a step lies outside the Magnus convergence radius, and more samples are
-    needed.
+    from the one-form at its two Gauss nodes, through the `eigh` of i Omega:
+    one scipy call for the stack, which runs LAPACK once per step.
+    `one_form` is `loop_one_form(loop, m)` when the caller has it already.
+    The polar projection removes the roundoff that the product of many
+    steps accumulates, which would otherwise reach the logarithm of a small
+    loop.  Raises FloatingPointError when a step's i Omega has an eigenvalue
+    of magnitude pi or more (or not finite): such a step lies outside the
+    Magnus convergence radius, and more samples are needed.
     """
     h, a = loop_one_form(loop, m) if one_form is None else one_form
     a1, a2 = a[:, 0], a[:, 1]
     hh = h[:, None, None]
     omega = -0.5 * hh * (a1 + a2) + (math.sqrt(3.0) / 12.0) * hh * hh * (a2 @ a1 - a1 @ a2)
-    # scipy's eigh, not numpy's: perfbench's tracer books every
-    # numpy.linalg.eigh call to the Fock layer.  LAPACK does not see NaN (it
-    # returns zero eigenvalues), so Omega is checked next to the radius.
+    # scipy's eigh, not numpy's truly batched one (6-10x faster on 4096 3x3
+    # matrices): perfbench's tracer books every numpy.linalg.eigh call to
+    # the Fock layer.  LAPACK does not see NaN (it returns zero
+    # eigenvalues), so Omega is checked next to the radius.
     evals, vecs = eigh(1j * omega, overwrite_a=True, check_finite=False)
     if not (np.isfinite(omega).all() and np.all(np.abs(evals) < math.pi)):
         raise FloatingPointError(
@@ -203,14 +215,9 @@ def parallel_transport(loop: LoopPath, m: int) -> Tuple[np.ndarray, float, np.nd
     )
 
 
-def small_loop_check(
-    center: ParameterPoint,
-    plane: str,
-    eps: float,
-    m: int,
-    steps_per_side: int = 384,
-) -> IdentityReport:
-    """log W against -eps^2 F(u, v) at eps and eps/2.
+def small_loop_check(center: ParameterPoint, plane: str, eps: float, m: int) -> IdentityReport:
+    """log W against -eps^2 F(u, v) at eps and eps/2, each square with
+    CHECK_STEPS_PER_SIDE steps a side.
 
     Third-order remainder means the ratio of the two residuals sits near 8;
     the report carries both residuals and the ratio.
@@ -221,7 +228,7 @@ def small_loop_check(
     f_uv = contract_two_form(curvature_closed(center, m), u, v)
 
     def residual(e: float) -> float:
-        loop = square_loop(center, plane, e, samples_per_side=steps_per_side)
+        loop = square_loop(center, plane, e, samples_per_side=CHECK_STEPS_PER_SIDE)
         w = transport(loop, m)
         return float(np.abs(logm(w) + f_uv * e * e).max())
 
@@ -235,65 +242,59 @@ def small_loop_check(
     )
 
 
-def _segment_transport(
-    p0: ParameterPoint, p1: ParameterPoint, m: int, steps: int
-) -> np.ndarray:
-    seg = polygon_loop([p0, p1], samples_per_side=steps, closed=False)
-    return transport(seg, m)
-
-
-def holonomy_algebra_dimension(
+def _based_closure(
     centers: Sequence[ParameterPoint],
     m: int,
-    budget: int = 6,
-    eps: float = 1e-2,
-    steps_per_side: int = 128,
-    seg_steps: int = 256,
-    base: ParameterPoint = ParameterPoint(0.0, 0.0),
+    generators: Callable[[ParameterPoint], List[np.ndarray]],
 ) -> int:
+    """Real dimension of the closure of `generators(c)` over the centers c
+    (centers outer, generators inner), each conjugated back to the origin as
+    w+ x w by the transport w along the straight segment from the origin to
+    c in SEGMENT_STEPS steps."""
+    els: List[np.ndarray] = []
+    for c in centers:
+        w = transport(polygon_loop([ParameterPoint(0.0, 0.0), c], SEGMENT_STEPS, closed=False), m)
+        els.extend(w.conj().T @ x @ w for x in generators(c))
+    return real_lie_closure(els, max_rounds=CLOSURE_ROUNDS)
+
+
+def holonomy_algebra_dimension(centers: Sequence[ParameterPoint], m: int) -> int:
     """Real dimension of the algebra generated by based small-loop logs.
 
-    Every center contributes six square loops (one per coordinate plane);
-    each log W is conjugated back to `base` along a straight segment before
-    entering the closure.  Raises ClosureNotStabilized when commutator
-    rounds within `budget` keep finding new directions.
+    Every center contributes six square loops of side ALGEBRA_EPS (one per
+    coordinate plane, ALGEBRA_STEPS_PER_SIDE steps a side); each log W is
+    conjugated back to the origin before entering the closure.  Raises
+    ClosureNotStabilized when CLOSURE_ROUNDS commutator rounds keep finding
+    new directions.
     """
     if len(centers) < 2:
         raise ValueError("need at least two centers")
-    els: List[np.ndarray] = []
-    for c in centers:
-        w_seg = _segment_transport(base, c, m, seg_steps)
-        w_seg_i = w_seg.conj().T
-        for plane in PLANE_TANGENTS:
-            loop = square_loop(c, plane, eps, samples_per_side=steps_per_side)
-            lw = logm(transport(loop, m))
-            els.append(w_seg_i @ lw @ w_seg)
-    return real_lie_closure(els, max_rounds=budget)
+
+    def loop_logs(c: ParameterPoint) -> List[np.ndarray]:
+        return [
+            logm(transport(square_loop(c, plane, ALGEBRA_EPS, ALGEBRA_STEPS_PER_SIDE), m))
+            for plane in PLANE_TANGENTS
+        ]
+
+    return _based_closure(centers, m, loop_logs)
 
 
-def transported_curvature_dimension(
-    centers: Sequence[ParameterPoint],
-    m: int,
-    seg_steps: int = 256,
-    base: ParameterPoint = ParameterPoint(0.0, 0.0),
-) -> int:
+def transported_curvature_dimension(centers: Sequence[ParameterPoint], m: int) -> int:
     """Real dimension of the algebra generated by curvature transported to
-    `base` (Ambrose-Singer).
+    the origin (Ambrose-Singer).
 
     At every center the six plane contractions of the closed curvature are
-    conjugated back to `base` along the straight segment that
+    conjugated back to the origin along the segment that
     `holonomy_algebra_dimension` uses, then closed under commutators.  This
     needs no loop transport or matrix logarithm, so it is an independent
-    check on the loop route.  Raises ClosureNotStabilized when commutator
-    rounds keep finding new directions.
+    check on the loop route.  Raises ClosureNotStabilized when
+    CLOSURE_ROUNDS commutator rounds keep finding new directions.
     """
     if not centers:
         raise ValueError("need at least one center")
-    els: List[np.ndarray] = []
-    for c in centers:
-        w_seg = _segment_transport(base, c, m, seg_steps)
-        w_seg_i = w_seg.conj().T
+
+    def contractions(c: ParameterPoint) -> List[np.ndarray]:
         form = curvature_closed(c, m)
-        for u, v in PLANE_TANGENTS.values():
-            els.append(w_seg_i @ contract_two_form(form, u, v) @ w_seg)
-    return real_lie_closure(els, max_rounds=6)
+        return [contract_two_form(form, u, v) for u, v in PLANE_TANGENTS.values()]
+
+    return _based_closure(centers, m, contractions)

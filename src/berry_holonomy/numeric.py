@@ -29,8 +29,7 @@ Wirtinger convention: for f of one complex variable,
 with d_x, d_y central differences of step h.  `wirtinger_derivative` is the
 only such stencil in the package; `curvature_from_components` (dA + A ^ A of
 any connection field) and `derivative_identity_report` (scalar identities)
-use it too.  Optional one-level Richardson
-extrapolation combines steps h and h/2 as (4 D(h/2) - D(h)) / 3.
+use it too.
 """
 from __future__ import annotations
 
@@ -51,7 +50,6 @@ from .reports import IdentityReport
 @dataclass(frozen=True)
 class DifferentiationPlan:
     h: float = 1e-4
-    richardson: bool = False
 
     def __post_init__(self):
         if not (1e-8 <= self.h <= 1e-2):
@@ -62,20 +60,10 @@ def wirtinger_derivative(
     f: Callable[[complex], np.ndarray], z0: complex, plan: DifferentiationPlan
 ) -> Tuple[np.ndarray, np.ndarray]:
     """(d_z f, d_zbar f) at z0 for matrix- or scalar-valued f."""
-
-    def central(h: float):
-        fx = (f(z0 + h) - f(z0 - h)) / (2.0 * h)
-        fy = (f(z0 + 1j * h) - f(z0 - 1j * h)) / (2.0 * h)
-        return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
-
-    if plan.richardson:
-        coarse = central(plan.h)
-        fine = central(plan.h / 2.0)
-        return (
-            (4.0 * fine[0] - coarse[0]) / 3.0,
-            (4.0 * fine[1] - coarse[1]) / 3.0,
-        )
-    return central(plan.h)
+    h = plan.h
+    fx = (f(z0 + h) - f(z0 - h)) / (2.0 * h)
+    fy = (f(z0 + 1j * h) - f(z0 - 1j * h)) / (2.0 * h)
+    return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
 @dataclass
@@ -290,7 +278,7 @@ def convergence_report(
     ]
 
 
-def derivative_identity_report(z: complex, h: float = 1e-5) -> IdentityReport:
+def derivative_identity_report(z: complex) -> IdentityReport:
     """Finite-difference check of three Wirtinger-derivative identities of
     the scalar profile t(z) = z tanh|z| / |z|:
 
@@ -298,11 +286,10 @@ def derivative_identity_report(z: complex, h: float = 1e-5) -> IdentityReport:
       d_z log(1-t tb) = -conj(z) tanh|z| / |z|   with tb = conj(t)
       d_z conj(t)     = (conj(z)^2 / (2|z|^2)) (1 - tanh^2|z| - tanh|z|/|z|)
 
-    Central differences in the real and imaginary directions build d_z;
-    the reported deviations are absolute.
+    Central differences of step 1e-5 in the real and imaginary directions
+    build d_z; the reported deviations are absolute.
     """
-    if not (1e-7 <= h <= 1e-3):
-        raise ValueError("step size out of the supported range")
+    h = 1e-5
     if abs(z) < 10.0 * h:
         raise ValueError("too close to removable singularity for this step")
 

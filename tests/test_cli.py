@@ -115,6 +115,17 @@ def test_verify_breach_exit_code(tmp_path):
     assert doc["payload"]["passed"] is False
 
 
+def test_verify_far_grid_falls_back_to_fixed_factorization_point(tmp_path):
+    """A grid with no point inside |lam|, |mu| <= 0.5 still runs the
+    factorization check, at its one fixed point."""
+    grid = tmp_path / "far.json"
+    grid.write_text('[["0.9", "0.8"]]')
+    code, doc = run(["verify", "--m", "2", "--grid", str(grid)], tmp_path)
+    assert code == 0
+    bch = doc["payload"]["sections"]["bch"]
+    assert bch["points"] == 1 and bch["passed"] is True
+
+
 def test_verify_truncation_term_exceeds_stencil_estimate(tmp_path):
     """At D = 48 the cut, not the stencil, limits the oracle: the D vs 3D/4
     difference (5.8e-3 measured) dwarfs the conjugate-leg estimate
@@ -135,6 +146,9 @@ def test_bad_config_exit_codes(tmp_path, capsys):
         main(["verify", "--format", "csv"])
     assert exc.value.code == 2
     assert main(["verify", "--tolerance", "nan"]) == 2
+    # no deviation can pass a tolerance of zero or below
+    assert main(["verify", "--tolerance", "0"]) == 2
+    assert main(["verify", "--tolerance", "-1"]) == 2
     # the truncation oracle at 3D/4 = 3 needs m < 3
     assert main(["verify", "--m", "3", "--dim", "4"]) == 2
     assert "m must be smaller than the space dimension" in capsys.readouterr().err

@@ -166,5 +166,3 @@ def test_derivative_identity_report_extras():
 def test_derivative_identity_near_origin_rejected():
     with pytest.raises(ValueError):
         derivative_identity_report(1e-6)
-    with pytest.raises(ValueError):
-        derivative_identity_report(0.5, h=1e-2)

@@ -39,16 +39,6 @@ def test_wirtinger_on_polynomial(z0):
     assert abs(d_zb - z0 ** 3) < 1e-6
 
 
-def test_richardson_improves():
-    f = lambda z: z ** 3 * np.conj(z)
-    z0 = 0.7 + 0.4j
-    plain = DifferentiationPlan(h=1e-3)
-    extrap = DifferentiationPlan(h=1e-3, richardson=True)
-    err_plain = abs(wirtinger_derivative(f, z0, plain)[0] - 3 * z0 ** 2 * np.conj(z0))
-    err_extrap = abs(wirtinger_derivative(f, z0, extrap)[0] - 3 * z0 ** 2 * np.conj(z0))
-    assert err_extrap * 10 < err_plain
-
-
 def test_oracle_matches_closed_connection(space96):
     oc = connection_numeric(POINT, 3, space96)
     cl = connection_closed(POINT, 3)

@@ -27,7 +27,6 @@ def run_script(script, args):
 @pytest.mark.parametrize(
     "script, args",
     [
-        ("verify_family.py", ["--dim", "64", "--m", "2", "--grid", "small"]),
         ("holonomy_demo.py", ["--m", "2", "--samples", "256"]),
         ("irreducibility_scan.py", ["--max-m", "2"]),
     ],
@@ -36,13 +35,3 @@ def test_script_runs(script, args):
     proc = run_script(script, args)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip()
-
-
-def test_verify_family_without_small_points(tmp_path):
-    """A grid with no point inside |lam|, |mu| <= 0.5 falls back to the
-    fixed factorization point, as `verify` does."""
-    grid = tmp_path / "far.json"
-    grid.write_text('[["0.9", "0.8"]]')
-    proc = run_script("verify_family.py", ["--dim", "64", "--m", "2", "--grid", str(grid)])
-    assert proc.returncode == 0, proc.stderr
-    assert "factorization interior worst" in proc.stdout
