@@ -37,9 +37,8 @@ def main() -> None:
     print("\nsmall-loop residual halving (m = 2, eps = 2e-3)")
     center = ParameterPoint(0.32 + 0.21j, 0.43 + 0.14j)
     for plane in PLANE_TANGENTS:
-        rep = small_loop_check(center, plane, 2e-3, 2)
-        print(f"  {plane:>5}: r(eps) = {rep.interior_dev:.3e}  "
-              f"r(eps/2) = {rep.boundary_dev:.3e}  ratio = {rep.extras['ratio']:.2f}")
+        r, r_half, ratio = small_loop_check(center, plane, 2e-3, 2)
+        print(f"  {plane:>5}: r(eps) = {r:.3e}  r(eps/2) = {r_half:.3e}  ratio = {ratio:.2f}")
 
 
 if __name__ == "__main__":

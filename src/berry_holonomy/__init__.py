@@ -31,7 +31,6 @@ from .family import (
     hamiltonian_h0,
     isospectral_check,
     unitary_u,
-    unitary_u_generalized,
     vacuum_frame,
 )
 from .fock import (
@@ -56,12 +55,10 @@ from .holonomy import (
 from .lie import ClosureNotStabilized, numerical_rank, real_lie_closure, real_vector
 from .numeric import (
     DifferentiationPlan,
-    GeneralizedOracleConnection,
-    OracleConnection,
+    OracleResult,
     connection_numeric,
     convergence_report,
     curvature_from_components,
-    curvature_numeric,
     derivative_identity_report,
     global_form_check,
     wirtinger_derivative,

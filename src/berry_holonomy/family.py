@@ -8,15 +8,18 @@ projectors via P = V V+.  `unitary_u`, `vacuum_frame` and
 `classifying_projector` take a ParameterPoint of arrays as a batch and
 stack their matrices behind its shape, from one factor-engine call.
 
-A multi-parameter extension replaces U by an ordered product of
-exponentials exp{(lam_j (a+)^j - conj(lam_j) a^j)/j}, j = 1..m.  For m = 2
-the product reproduces U(lam_1, mu = lam_2) exactly, since the j = 2
-generator equals lam_2 K+ - conj(lam_2) K-.
+A multi-parameter extension, GeneralizedPoint, replaces U by an ordered
+product of k exponentials exp{(lam_j (a+)^j - conj(lam_j) a^j)/j},
+j = 1..k; the number of factors k is independent of the degeneracy m.  For
+k = 2 the product reproduces U(lam_1, mu = lam_2) exactly, since the j = 2
+generator equals lam_2 K+ - conj(lam_2) K-.  Either point type gives its
+(j, z) `factors` for the engine and its `legs`, the names of the 2k
+directions z_1..z_k, zbar_1..zbar_k, so the frames and the oracle take both.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Tuple
 
 import numpy as np
 
@@ -31,6 +34,13 @@ class ParameterPoint:
     lam: complex
     mu: complex
 
+    # pairs of these, in order, are the curvature keys lm, llb, ..., lbmb
+    legs = ("l", "m", "lb", "mb")
+
+    @property
+    def factors(self) -> List[Tuple[int, complex]]:
+        return [(1, self.lam), (2, self.mu)]
+
 
 @dataclass(frozen=True)
 class GeneralizedPoint:
@@ -38,6 +48,18 @@ class GeneralizedPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "lambdas", tuple(complex(z) for z in self.lambdas))
+
+    @property
+    def factors(self) -> List[Tuple[int, complex]]:
+        return list(enumerate(self.lambdas, start=1))
+
+    @property
+    def legs(self) -> Tuple[str, ...]:
+        """l1..lk, then l1b..lkb."""
+        return tuple(f"l{j}{bar}" for bar in ("", "b") for j in range(1, len(self.lambdas) + 1))
+
+
+Point = ParameterPoint | GeneralizedPoint
 
 
 def hamiltonian_h0(m: int, space: TruncatedSpace) -> np.ndarray:
@@ -53,23 +75,18 @@ def hamiltonian_h0(m: int, space: TruncatedSpace) -> np.ndarray:
     return np.diag(diag).astype(complex)
 
 
-def unitary_u(p: ParameterPoint, space: TruncatedSpace) -> np.ndarray:
-    """U = displacement(lam) squeeze(mu), in that order."""
-    return apply_factors([(1, p.lam), (2, p.mu)], np.eye(space.dim))
+def unitary_u(p: Point, space: TruncatedSpace) -> np.ndarray:
+    """The ordered product of p's factors, left to right: displacement(lam)
+    then squeeze(mu) for a ParameterPoint."""
+    return apply_factors(p.factors, np.eye(space.dim))
 
 
-def unitary_u_generalized(p: GeneralizedPoint, space: TruncatedSpace) -> np.ndarray:
-    """Ordered product of exp{(lam_j (a+)^j - conj(lam_j) a^j)/j}, j = 1..m
-    left to right."""
-    return apply_factors(list(enumerate(p.lambdas, start=1)), np.eye(space.dim))
-
-
-def vacuum_frame(p: ParameterPoint, m: int, space: TruncatedSpace) -> np.ndarray:
+def vacuum_frame(p: Point, m: int, space: TruncatedSpace) -> np.ndarray:
     """First m columns of U(p); an orthonormal frame for the conjugated vacuum."""
-    return apply_factors([(1, p.lam), (2, p.mu)], np.eye(space.dim)[:, :m])
+    return apply_factors(p.factors, np.eye(space.dim)[:, :m])
 
 
-def classifying_projector(p: ParameterPoint, m: int, space: TruncatedSpace) -> np.ndarray:
+def classifying_projector(p: Point, m: int, space: TruncatedSpace) -> np.ndarray:
     """P = V V+ for the vacuum frame V at p."""
     v = vacuum_frame(p, m, space)
     return v @ np.swapaxes(v.conj(), -1, -2)

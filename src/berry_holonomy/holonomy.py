@@ -39,7 +39,6 @@ from .connection import loop_one_form
 from .curvature import PLANE_TANGENTS, contract_two_form, curvature_closed
 from .family import ParameterPoint
 from .lie import real_lie_closure
-from .reports import IdentityReport
 
 # steps per side of the squares whose logarithm `small_loop_check` compares
 CHECK_STEPS_PER_SIDE = 384
@@ -215,12 +214,12 @@ def parallel_transport(loop: LoopPath, m: int) -> Tuple[np.ndarray, float, np.nd
     )
 
 
-def small_loop_check(center: ParameterPoint, plane: str, eps: float, m: int) -> IdentityReport:
-    """log W against -eps^2 F(u, v) at eps and eps/2, each square with
-    CHECK_STEPS_PER_SIDE steps a side.
-
-    Third-order remainder means the ratio of the two residuals sits near 8;
-    the report carries both residuals and the ratio.
+def small_loop_check(
+    center: ParameterPoint, plane: str, eps: float, m: int
+) -> Tuple[float, float, float]:
+    """(residual, half_residual, ratio): log W against -eps^2 F(u, v) at eps
+    and at eps/2, each square with CHECK_STEPS_PER_SIDE steps a side, and
+    their ratio, which a third-order remainder puts near 8.
     """
     if not (1e-4 <= eps <= 1e-2):
         raise ValueError("eps out of the supported range")
@@ -234,12 +233,7 @@ def small_loop_check(center: ParameterPoint, plane: str, eps: float, m: int) -> 
 
     r_full = residual(eps)
     r_half = residual(eps / 2.0)
-    ratio = r_full / r_half if r_half > 0 else float("inf")
-    return IdentityReport(
-        interior_dev=r_full,
-        boundary_dev=r_half,
-        extras={"ratio": ratio, "plane": plane, "eps": eps},
-    )
+    return r_full, r_half, (r_full / r_half if r_half > 0 else float("inf"))
 
 
 def _based_closure(

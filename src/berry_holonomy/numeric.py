@@ -4,22 +4,21 @@ Everything here differentiates the vacuum frame V = U V0 directly (V0 the
 first m number states), with no knowledge of the closed-form scalar
 profiles; agreement between this module and the closed expressions is the
 library's primary self-check.  Frames come from the factor engine
-`fock.apply_factors`, so no unitary is ever formed.  Like the closed forms,
-the two-parameter oracles are array-valued: a ParameterPoint of arrays is a
-batch, each stencil frame is one engine call for all of it, and the matrices
-come back stacked with shape (..., m, m).
+`fock.apply_factors`, so no unitary is ever formed.
 
-The connection is A_a = V+ d_a V.  The curvature needs first derivatives
-only: with P = V V+,
+`connection_numeric` is the one oracle, for either family: it takes a
+point's (j, z) factors (see `family`), evaluates the frame and its
+Wirtinger legs d_z V, d_zbar V per factor once (`_frame_legs`), and returns
+from them the connection A_a = V+ d_a V per factor, its error estimate and
+the curvature.  The curvature needs first derivatives only: with
+P = V V+,
 
   F_ab = (d_abar V)+ (1 - P) d_b V - (d_bbar V)+ (1 - P) d_a V,
 
 which is dA + A ^ A after V+ V = 1 is used to trade the A ^ A term for
-the projector.  V and the eight stencil frames serve every component.
-
-`_frame_legs` is the one frame-derivative path: it takes any factor list
-of the engine, so the two-parameter family (factors (1, lam), (2, mu)) and
-the generalized family (factors (j, lam_j)) differentiate the same way.
+the projector.  Like the closed forms, the oracle is array-valued: a
+ParameterPoint of arrays is a batch, each stencil frame is one engine call
+for all of it, and the matrices come back stacked with shape (..., m, m).
 
 Wirtinger convention: for f of one complex variable,
 
@@ -34,15 +33,16 @@ use it too.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .connection import ConnectionMatrices, tanhc
+from .connection import tanhc
 from .curvature import CurvatureForm, curvature_closed
-from .family import GeneralizedPoint, ParameterPoint, classifying_projector, vacuum_frame
+from .family import ParameterPoint, Point, classifying_projector, vacuum_frame
 from .fock import TruncatedSpace, apply_factors
 from .reports import IdentityReport
 
@@ -66,15 +66,10 @@ def wirtinger_derivative(
     return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
-@dataclass
-class OracleConnection(ConnectionMatrices):
+class OracleResult(NamedTuple):
+    a: List[np.ndarray]  # A = V+ d_z V per factor, stacked (..., m, m)
     estimated_error: np.ndarray  # one per point of the batch
-
-
-@dataclass
-class GeneralizedOracleConnection:
-    a: List[np.ndarray]
-    a_bar: List[np.ndarray]
+    curvature: CurvatureForm  # F_ab for every pair of legs
 
 
 def _dagger(mat: np.ndarray) -> np.ndarray:
@@ -103,74 +98,32 @@ def _frame_legs(
     return apply_factors(factors, v0), legs
 
 
-def _two_parameter_oracle(
-    p: ParameterPoint, m: int, space: TruncatedSpace, plan: DifferentiationPlan
-) -> OracleConnection:
-    v, legs = _frame_legs([(1, p.lam), (2, p.mu)], m, space, plan)
-    vh = _dagger(v)
-    (a_l, a_lb), (a_m, a_mb) = [(vh @ d_z, vh @ d_zb) for d_z, d_zb in legs]
-    # the conjugate legs must be the negated adjoints; the defect is a
-    # direct read of the finite-difference error level
-    defect = lambda a, a_bar: np.abs(a_bar + _dagger(a)).max(axis=(-2, -1))
-    err = np.maximum(defect(a_l, a_lb), defect(a_m, a_mb))
-    return OracleConnection(a_l, a_m, estimated_error=err)
-
-
-def _generalized_oracle(
-    p: GeneralizedPoint, m: int, space: TruncatedSpace, plan: DifferentiationPlan
-) -> GeneralizedOracleConnection:
-    v, legs = _frame_legs(list(enumerate(p.lambdas, start=1)), m, space, plan)
-    vh = _dagger(v)
-    return GeneralizedOracleConnection(
-        a=[vh @ d_z for d_z, _ in legs], a_bar=[vh @ d_zb for _, d_zb in legs]
-    )
-
-
 def connection_numeric(
-    p: Union[ParameterPoint, GeneralizedPoint],
+    p: Point,
     m: int,
     space: TruncatedSpace,
     plan: Optional[DifferentiationPlan] = None,
-):
-    """Connection matrices A_a = V+ d_a V by direct differentiation of the
-    frame; a two-parameter batch gives stacked matrices and a per-point
-    `estimated_error`."""
+) -> OracleResult:
+    """Per factor the connection A = V+ d_z V; per point `estimated_error`,
+    the worst defect of the conjugate legs against the negated adjoints; and
+    the curvature F_ab (see the module note) for each pair a < b of the legs
+    z_1..z_k, zbar_1..zbar_k, keyed `p.legs[a] + p.legs[b]`, which for a
+    ParameterPoint are `curvature.COMPONENT_KEYS` in order."""
     plan = _resolve(m, space, plan)
-    if isinstance(p, GeneralizedPoint):
-        return _generalized_oracle(p, m, space, plan)
-    return _two_parameter_oracle(p, m, space, plan)
-
-
-# (a, b) legs of each component F_ab, and the conjugate of each leg
-_COMPONENT_LEGS = {
-    "lm": ("l", "m"),
-    "llb": ("l", "lb"),
-    "lmb": ("l", "mb"),
-    "mlb": ("m", "lb"),
-    "mmb": ("m", "mb"),
-    "lbmb": ("lb", "mb"),
-}
-_CONJUGATE_LEG = {"l": "lb", "lb": "l", "m": "mb", "mb": "m"}
-
-
-def curvature_numeric(
-    p: ParameterPoint,
-    m: int,
-    space: TruncatedSpace,
-    plan: Optional[DifferentiationPlan] = None,
-) -> CurvatureForm:
-    """Curvature from first derivatives of the frame (see the module note),
-    stacked (..., m, m) for a batch of points."""
-    plan = _resolve(m, space, plan)
-    v, ((d_l, d_lb), (d_m, d_mb)) = _frame_legs([(1, p.lam), (2, p.mu)], m, space, plan)
-    d = {"l": d_l, "lb": d_lb, "m": d_m, "mb": d_mb}
-    off_frame = {leg: dv - v @ (_dagger(v) @ dv) for leg, dv in d.items()}
+    v, legs = _frame_legs(p.factors, m, space, plan)
+    k = len(legs)
+    d = [d_z for d_z, _ in legs] + [d_zb for _, d_zb in legs]
+    d_conj = d[k:] + d[:k]
+    vh = _dagger(v)
+    a = [vh @ dv for dv in d]
+    defects = [np.abs(a_zb + _dagger(a_z)).max(axis=(-2, -1)) for a_z, a_zb in zip(a, a[k:])]
+    err = np.max(defects, axis=0)
+    off_frame = [dv - v @ a_dv for dv, a_dv in zip(d, a)]
     comp = {
-        key: _dagger(d[_CONJUGATE_LEG[a]]) @ off_frame[b]
-        - _dagger(d[_CONJUGATE_LEG[b]]) @ off_frame[a]
-        for key, (a, b) in _COMPONENT_LEGS.items()
+        p.legs[i] + p.legs[j]: _dagger(d_conj[i]) @ off_frame[j] - _dagger(d_conj[j]) @ off_frame[i]
+        for i, j in itertools.combinations(range(2 * k), 2)
     }
-    return CurvatureForm(comp)
+    return OracleResult(a[:k], err, CurvatureForm(comp))
 
 
 def curvature_from_components(
@@ -271,8 +224,7 @@ def convergence_report(
     plan = plan or DifferentiationPlan()
     stacked = []
     for d in dims:
-        oc = connection_numeric(p, m, TruncatedSpace(int(d)), plan)
-        stacked.append(np.hstack([oc.a_lambda, oc.a_mu]))
+        stacked.append(np.hstack(connection_numeric(p, m, TruncatedSpace(int(d)), plan).a))
     return [
         float(np.abs(stacked[i + 1] - stacked[i]).max()) for i in range(len(stacked) - 1)
     ]

@@ -106,6 +106,7 @@ def test_verify_passes_and_is_deterministic(tmp_path):
         assert sec["passed"] is True
     assert 0.0 < sections["connection"]["max_estimated_error"] < 1e-6
     assert 0.0 < sections["connection"]["max_truncation_error"] < 1e-6
+    assert 0.0 < sections["curvature"]["max_truncation_error"] < 1e-6
 
 
 def test_verify_breach_exit_code(tmp_path):
@@ -129,11 +130,16 @@ def test_verify_far_grid_falls_back_to_fixed_factorization_point(tmp_path):
 def test_verify_truncation_term_exceeds_stencil_estimate(tmp_path):
     """At D = 48 the cut, not the stencil, limits the oracle: the D vs 3D/4
     difference (5.8e-3 measured) dwarfs the conjugate-leg estimate
-    (1.1e-8), and the connection gate fails on the default grid."""
+    (1.1e-8), and the connection gate fails on the default grid.  The
+    curvature's D vs 3D/4 difference (4.0e-2) exceeds its deviation from
+    the closed form (4.7e-3), whose gate fails too."""
     code, doc = run(["verify", "--m", "2", "--dim", "48", "--grid", "default"], tmp_path)
     conn = doc["payload"]["sections"]["connection"]
     assert code == 1 and conn["passed"] is False
     assert conn["max_truncation_error"] > 1e4 * conn["max_estimated_error"]
+    curv = doc["payload"]["sections"]["curvature"]
+    assert curv["passed"] is False
+    assert curv["max_truncation_error"] > curv["max_dev"]
 
 
 def test_bad_config_exit_codes(tmp_path, capsys):
@@ -152,6 +158,17 @@ def test_bad_config_exit_codes(tmp_path, capsys):
     # the truncation oracle at 3D/4 = 3 needs m < 3
     assert main(["verify", "--m", "3", "--dim", "4"]) == 2
     assert "m must be smaller than the space dimension" in capsys.readouterr().err
+    step_file = tmp_path / "step.cfg"
+    step_file.write_text("step = 1\n")
+    for argv in (
+        ["verify", "--step", "1"],
+        ["verify", "--step", "1e-9"],
+        ["verify", "--config", str(step_file)],
+    ):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        assert "step size out of the supported range" in capsys.readouterr().err
+        assert not out.exists()
     assert main(["connection", "--m", "2", "--grid", "/missing.json"]) == 2
     assert main(["holonomy", "--loop", "/missing.json"]) == 2
     capsys.readouterr()

@@ -10,7 +10,6 @@ from berry_holonomy import (
     hamiltonian_h0,
     isospectral_check,
     unitary_u,
-    unitary_u_generalized,
     vacuum_frame,
 )
 from conftest import unitarity_defect
@@ -65,7 +64,7 @@ def test_isospectral_lower_half(space64):
 def test_generalized_two_parameter_reduction(space64):
     """The j <= 2 product is exactly displacement then squeeze."""
     gp = GeneralizedPoint((0.3 + 0.2j, 0.35 - 0.1j))
-    ug = unitary_u_generalized(gp, space64)
+    ug = unitary_u(gp, space64)
     u2 = unitary_u(ParameterPoint(0.3 + 0.2j, 0.35 - 0.1j), space64)
     assert np.abs(ug - u2).max() < 1e-13
 
@@ -79,4 +78,4 @@ def test_generalized_point_coerces():
 def test_generalized_unitary(n):
     space = TruncatedSpace(32)
     gp = GeneralizedPoint(tuple(0.2 + 0.1j for _ in range(n)))
-    assert unitarity_defect(unitary_u_generalized(gp, space)) < 1e-11
+    assert unitarity_defect(unitary_u(gp, space)) < 1e-11

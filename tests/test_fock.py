@@ -13,7 +13,7 @@ from berry_holonomy import (
     exp_antihermitian,
     make_operators,
     squeeze,
-    unitary_u_generalized,
+    unitary_u,
 )
 from berry_holonomy.fock import (
     _raising_exp,
@@ -153,7 +153,7 @@ def test_factor_engine_against_reference(space128):
             elif j == 2:
                 got = squeeze(z, space128)
             else:
-                got = unitary_u_generalized(GeneralizedPoint((0.0, 0.0, z)), space128)
+                got = unitary_u(GeneralizedPoint((0.0, 0.0, z)), space128)
             scale = np.linalg.norm(g, 2)
             assert np.abs(got - ref).max() < 1e-13 * max(1.0, scale / 100.0), (z, j)
 

@@ -129,10 +129,10 @@ def test_open_loop_rejected():
 
 
 def test_small_loop_ratio():
-    rep = small_loop_check(CENTERS[0], "lmb", 2e-3, 2)
-    assert 6.0 <= rep.extras["ratio"] <= 10.0
-    assert rep.interior_dev < 1e-7
-    assert rep.extras["plane"] == "lmb"
+    residual, half_residual, ratio = small_loop_check(CENTERS[0], "lmb", 2e-3, 2)
+    assert 6.0 <= ratio <= 10.0
+    assert residual < 1e-7
+    assert ratio == residual / half_residual
 
 
 def test_small_loop_eps_validation():
