@@ -142,7 +142,7 @@ def _dim(text) -> int:
 SETTINGS = (
     ("m", int, 2, "vacuum degeneracy"),
     ("dim", _dim, "auto", "truncation dimension or 'auto' (128)"),
-    ("step", float, 1e-4, "stencil step for oracles"),
+    ("step", float, DifferentiationPlan.h, "stencil step for oracles"),
     ("samples", int, 2048, "loop sample count"),
     ("grid", str, None, "'default', 'small', or a JSON file"),
     ("out", str, None, "output file (stdout when omitted)"),
@@ -261,6 +261,10 @@ def _curvature_fields(p: ParameterPoint, m: int) -> List[Tuple[str, np.ndarray]]
 
 def _verify(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
     m = cfg.m
+    coarse_dim = 3 * cfg.dim // 4
+    if m >= coarse_dim:
+        msg = "m must be smaller than the space dimension of the truncation oracle, 3*dim//4"
+        raise ConfigError(f"{msg} = {coarse_dim}")
     plan = DifferentiationPlan(h=cfg.step)
     space = TruncatedSpace(cfg.dim)
     points = grid_points(cfg.grid or "small")
@@ -273,7 +277,7 @@ def _verify(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
     conn = connection_closed(batch, m)
     oracle = connection_numeric(batch, m, space, plan)
     # the oracle at 3D/4: how far truncation alone moves it (informational)
-    coarse = connection_numeric(batch, m, TruncatedSpace(3 * cfg.dim // 4), plan)
+    coarse = connection_numeric(batch, m, TruncatedSpace(coarse_dim), plan)
     max_abs = lambda x, y: float(np.abs(x - y).max())
     conn_dev = max(max_abs(conn.a_lambda, oracle.a[0]), max_abs(conn.a_mu, oracle.a[1]))
     trunc = max(map(max_abs, oracle.a, coarse.a))

@@ -1,16 +1,14 @@
 """Closed-form curvature two-form of the vacuum-bundle connection.
 
-The curvature F = dA + A ^ A decomposes over the six independent wedges of
-the real four-dimensional parameter space, in the fixed order
-
-  dlam^dmu, dlam^dlamb, dlam^dmub, dmu^dlamb, dmu^dmub, dlamb^dmub,
-
-and every component is a combination of six fixed m x m matrices: the
-truncated ladder pair E, F = E+, the top projector K = e_{m-1,m-1}, the
-two-level projector L = K + e_{m-2,m-2}, and the products EK, KF.  The
-scalar weights depend only on mu, and, as in `connection`, a batch of
-points gives stacked (..., m, m) components.  Two structural identities
-hold exactly:
+The curvature F = dA + A ^ A decomposes over the six independent wedges
+dz_a ^ dz_b of the real four-dimensional parameter space, one per pair
+a < b of `ParameterPoint.legs` (`leg_pairs`, the oracle's rule too), keyed
+lm, llb, lmb, mlb, mmb, lbmb; every table below follows from it.  Every
+component is a combination of six fixed m x m matrices: the truncated
+ladder pair E, F = E+, the top projector K = e_{m-1,m-1}, the two-level
+projector L = K + e_{m-2,m-2}, and the products EK, KF.  The scalar weights
+depend only on mu, and, as in `connection`, a batch of points gives
+stacked (..., m, m) components.  Two structural identities hold exactly:
 C_lamlamb = -m K, and the hermiticity pairings C_lamlamb+ = C_lamlamb,
 C_mumub+ = C_mumub, C_lambmub = -C_lammu+, C_mulamb = C_lammub+.
 
@@ -23,9 +21,10 @@ components as a consistency oracle.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -33,27 +32,35 @@ from .connection import cosh_sinh_over, csm1_over_x2, sinhc
 from .family import ParameterPoint
 from .lie import real_lie_closure
 
-COMPONENT_KEYS: Tuple[str, ...] = ("lm", "llb", "lmb", "mlb", "mmb", "lbmb")
 
+def leg_pairs(legs: Sequence[str]) -> List[Tuple[int, int, str]]:
+    """(a, b, key) for every pair a < b of leg indices, in the order of the
+    two-form's components; the key of dz_a ^ dz_b is legs[a] + legs[b]."""
+    return [(a, b, legs[a] + legs[b]) for a, b in itertools.combinations(range(len(legs)), 2)]
+
+
+# per leg of ParameterPoint.legs: its display name and its real tangent (dlam, dmu)
+LEG_NAMES = {"l": "lambda", "m": "mu", "lb": "lambdabar", "mb": "mubar"}
+LEG_TANGENTS = {"l": (1, 0), "m": (0, 1), "lb": (1j, 0), "mb": (0, 1j)}
+
+_LEGS = ParameterPoint.legs
+_PAIRS = leg_pairs(_LEGS)
+COMPONENT_KEYS: Tuple[str, ...] = tuple(key for _, _, key in _PAIRS)
 COMPONENT_NAMES: Dict[str, str] = {
-    "lm": "C_lambda_mu",
-    "llb": "C_lambda_lambdabar",
-    "lmb": "C_lambda_mubar",
-    "mlb": "C_mu_lambdabar",
-    "mmb": "C_mu_mubar",
-    "lbmb": "C_lambdabar_mubar",
+    key: f"C_{LEG_NAMES[_LEGS[a]]}_{LEG_NAMES[_LEGS[b]]}" for a, b, key in _PAIRS
 }
-
 # Coordinate-plane tangent pairs (dlam, dmu) whose contraction isolates,
 # up to the conjugate pairings, the corresponding component.
 PLANE_TANGENTS: Dict[str, Tuple[tuple, tuple]] = {
-    "lm": ((1, 0), (0, 1)),
-    "llb": ((1, 0), (1j, 0)),
-    "lmb": ((1, 0), (0, 1j)),
-    "mlb": ((0, 1), (1j, 0)),
-    "mmb": ((0, 1), (0, 1j)),
-    "lbmb": ((1j, 0), (0, 1j)),
+    key: (LEG_TANGENTS[_LEGS[a]], LEG_TANGENTS[_LEGS[b]]) for a, b, key in _PAIRS
 }
+# (sign, P, Q) for the splits of the four legs into pairs P, Q with P holding the first
+# leg: the i-th pair's complement is the (5 - i)-th, and sign the parity of P Q
+_COMPLEMENTS = [
+    ((-1) ** sum(x > y for x in (a, b) for y in (c, d)), p, q)
+    for (a, b, p), (c, d, q) in zip(_PAIRS, _PAIRS[::-1])
+    if a == 0
+]
 
 
 def _basis(m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -112,21 +119,11 @@ def curvature_closed(p: ParameterPoint, m: int) -> CurvatureForm:
 
 
 def contract_two_form(form: CurvatureForm, u: tuple, v: tuple) -> np.ndarray:
-    """F(u, v) for tangents u, v given as complex pairs (dlam, dmu)."""
-    a1, b1 = u
-    a2, b2 = v
-    vals = {
-        "lm": a1 * b2 - a2 * b1,
-        "llb": a1 * np.conj(a2) - a2 * np.conj(a1),
-        "lmb": a1 * np.conj(b2) - a2 * np.conj(b1),
-        "mlb": b1 * np.conj(a2) - b2 * np.conj(a1),
-        "mmb": b1 * np.conj(b2) - b2 * np.conj(b1),
-        "lbmb": np.conj(a1) * np.conj(b2) - np.conj(a2) * np.conj(b1),
-    }
-    out = np.zeros_like(form.components["llb"])
-    for k in COMPONENT_KEYS:
-        out = out + form.components[k] * vals[k]
-    return out
+    """F(u, v) = sum over a < b of F_ab (u_a v_b - u_b v_a) for tangents u, v
+    given as complex pairs (dlam, dmu), whose leg components are
+    (dlam, dmu, conj dlam, conj dmu)."""
+    u, v = [*u, *map(np.conj, u)], [*v, *map(np.conj, v)]
+    return sum(form.components[key] * (u[a] * v[b] - u[b] * v[a]) for a, b, key in _PAIRS)
 
 
 def f_squared(mu: complex, m: int) -> np.ndarray:
@@ -141,11 +138,18 @@ def f_squared(mu: complex, m: int) -> np.ndarray:
     return cs_x[..., None, None] * (m * m * (m - 1) / 4.0 * L - m * m * (m + 1) / 2.0 * K)
 
 
+def _complement_sum(term: Callable[[str, str], object]):
+    """sum of sign term(P, Q) over the complementary component pairs: the
+    coefficient of dlam ^ dmu ^ dlamb ^ dmub in a wedge of two two-forms.
+    Unary minus, unlike a product with -1, keeps every signed zero."""
+    first, *rest = (term(p, q) if sign > 0 else -term(p, q) for sign, p, q in _COMPLEMENTS)
+    return sum(rest, first)
+
+
 def f_squared_from_wedge(form: CurvatureForm) -> np.ndarray:
     """F ^ F coefficient from the six components via anticommutators."""
     c = form.components
-    anti = lambda X, Y: X @ Y + Y @ X
-    return anti(c["lm"], c["lbmb"]) - anti(c["llb"], c["mmb"]) + anti(c["lmb"], c["mlb"])
+    return _complement_sum(lambda p, q: c[p] @ c[q] + c[q] @ c[p])
 
 
 def chern_trace_forms(mu: complex, m: int) -> Dict[str, complex]:
@@ -155,23 +159,21 @@ def chern_trace_forms(mu: complex, m: int) -> Dict[str, complex]:
     form = curvature_closed(ParameterPoint(0.0, mu), m)
     tr_f2 = complex(np.trace(f2))
     tr_each = {k: complex(np.trace(v)) for k, v in form.components.items()}
-    tr_wedge_of_traces = (
-        2.0 * (tr_each["lm"] * tr_each["lbmb"])
-        - 2.0 * (tr_each["llb"] * tr_each["mmb"])
-        + 2.0 * (tr_each["lmb"] * tr_each["mlb"])
-    )
+    tr_wedge_of_traces = _complement_sum(lambda p, q: 2.0 * (tr_each[p] * tr_each[q]))
     return {"tr_f_squared": tr_f2, "tr_f_wedge_tr_f": tr_wedge_of_traces}
 
 
+def plane_contractions(p: ParameterPoint, m: int) -> List[np.ndarray]:
+    """F(u, v) of the closed curvature at p for each coordinate plane, in
+    the order of PLANE_TANGENTS."""
+    form = curvature_closed(p, m)
+    return [contract_two_form(form, u, v) for u, v in PLANE_TANGENTS.values()]
+
+
 def curvature_span_dimension(points: Sequence[ParameterPoint], m: int) -> int:
-    """Real Lie-algebra dimension generated by plane contractions of the
-    closed curvature over the sample points.  Raises ClosureNotStabilized
+    """Real Lie-algebra dimension generated by `plane_contractions` over the
+    sample points (points outer, planes inner).  Raises ClosureNotStabilized
     when commutator rounds keep finding new directions."""
     if not points:
         raise ValueError("need at least one sample point")
-    els = []
-    for p in points:
-        form = curvature_closed(p, m)
-        for u, v in PLANE_TANGENTS.values():
-            els.append(contract_two_form(form, u, v))
-    return real_lie_closure(els)
+    return real_lie_closure([x for p in points for x in plane_contractions(p, m)])

@@ -23,8 +23,9 @@ closed-form curvature contractions at the loop centers, transported back
 along the same segments.  In both the transport matters: the generated
 algebra can exceed the span of the untransported curvature contractions
 (`curvature_span_dimension`), because transport mixes in covariant
-derivatives of the curvature.  Loop sides, step counts and the closure's
-round budget are the module constants below.
+derivatives of the curvature.  Loop sides and step counts are the module
+constants below; the closure's round budget is `lie.CLOSURE_ROUNDS`, the
+same for both routes and for `curvature_span_dimension`.
 """
 from __future__ import annotations
 
@@ -36,7 +37,7 @@ import numpy as np
 from scipy.linalg import eigh, logm
 
 from .connection import loop_one_form
-from .curvature import PLANE_TANGENTS, contract_two_form, curvature_closed
+from .curvature import PLANE_TANGENTS, contract_two_form, curvature_closed, plane_contractions
 from .family import ParameterPoint
 from .lie import real_lie_closure
 
@@ -47,8 +48,6 @@ ALGEBRA_EPS = 1e-2
 ALGEBRA_STEPS_PER_SIDE = 128
 # steps of the segment that carries each center's generators to the origin
 SEGMENT_STEPS = 256
-# commutator rounds both algebra routes allow before ClosureNotStabilized
-CLOSURE_ROUNDS = 6
 
 
 @dataclass
@@ -249,7 +248,7 @@ def _based_closure(
     for c in centers:
         w = transport(polygon_loop([ParameterPoint(0.0, 0.0), c], SEGMENT_STEPS, closed=False), m)
         els.extend(w.conj().T @ x @ w for x in generators(c))
-    return real_lie_closure(els, max_rounds=CLOSURE_ROUNDS)
+    return real_lie_closure(els)
 
 
 def holonomy_algebra_dimension(centers: Sequence[ParameterPoint], m: int) -> int:
@@ -287,8 +286,4 @@ def transported_curvature_dimension(centers: Sequence[ParameterPoint], m: int) -
     if not centers:
         raise ValueError("need at least one center")
 
-    def contractions(c: ParameterPoint) -> List[np.ndarray]:
-        form = curvature_closed(c, m)
-        return [contract_two_form(form, u, v) for u, v in PLANE_TANGENTS.values()]
-
-    return _based_closure(centers, m, contractions)
+    return _based_closure(centers, m, lambda c: plane_contractions(c, m))

@@ -11,6 +11,11 @@ from typing import List, Sequence
 
 import numpy as np
 
+# singular values below RANK_RTOL times the largest do not count as directions
+RANK_RTOL = 1e-9
+# commutator rounds every closure allows before ClosureNotStabilized
+CLOSURE_ROUNDS = 6
+
 
 class ClosureNotStabilized(RuntimeError):
     """Raised when commutator rounds keep producing new directions.
@@ -32,7 +37,7 @@ def real_vector(mat: np.ndarray) -> np.ndarray:
     return np.concatenate([mat.real.ravel(), mat.imag.ravel()])
 
 
-def numerical_rank(mats: Sequence[np.ndarray], rtol: float = 1e-9) -> int:
+def numerical_rank(mats: Sequence[np.ndarray]) -> int:
     """Rank of the stacked real vectors, each normalized to unit max-abs so
     small commutators are not drowned by the singular-value threshold."""
     if not mats:
@@ -41,44 +46,42 @@ def numerical_rank(mats: Sequence[np.ndarray], rtol: float = 1e-9) -> int:
     s = np.linalg.svd(np.array(rows), compute_uv=False)
     if s[0] == 0.0:
         return 0
-    return int(np.sum(s > rtol * s[0]))
+    return int(np.sum(s > RANK_RTOL * s[0]))
 
 
-def real_lie_closure(
-    gens: Sequence[np.ndarray], rtol: float = 1e-9, max_rounds: int = 8
-) -> int:
+def real_lie_closure(gens: Sequence[np.ndarray]) -> int:
     """Dimension of the closure under commutators.
 
     Each round commutes all current pairs, appends the nonzero results, and
     recomputes the rank; stabilization means one full round added nothing.
-    Raises ClosureNotStabilized when `max_rounds` rounds do not stabilize.
+    Raises ClosureNotStabilized when CLOSURE_ROUNDS rounds do not stabilize.
     The basis list is capped to keep the pairwise pass quadratic in a small
     number; the cap is far above m^2 for any m this library handles.
     """
     basis: List[np.ndarray] = [
         mat / np.abs(mat).max() for mat in gens if np.abs(mat).max() > 1e-14
     ]
-    dim = numerical_rank(basis, rtol)
+    dim = numerical_rank(basis)
     if dim == 0:
         return 0
-    for _ in range(max_rounds):
+    for _ in range(CLOSURE_ROUNDS):
         fresh = []
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
                 c = basis[i] @ basis[j] - basis[j] @ basis[i]
                 if np.abs(c).max() > 1e-14:
                     fresh.append(c / np.abs(c).max())
-        new_dim = numerical_rank(basis + fresh, rtol)
+        new_dim = numerical_rank(basis + fresh)
         if new_dim == dim:
             return dim
         basis = basis + fresh
         dim = new_dim
         if len(basis) > 400:
-            basis = _compress(basis, dim, rtol)
-    raise ClosureNotStabilized(dim, max_rounds)
+            basis = _compress(basis, dim)
+    raise ClosureNotStabilized(dim, CLOSURE_ROUNDS)
 
 
-def _compress(basis: List[np.ndarray], dim: int, rtol: float) -> List[np.ndarray]:
+def _compress(basis: List[np.ndarray], dim: int) -> List[np.ndarray]:
     """Replace a bloated spanning list by `dim` orthogonal combinations."""
     shape = basis[0].shape
     rows = np.array([real_vector(b) for b in basis])

@@ -88,9 +88,17 @@ def test_curvature_payload_names(tmp_path):
     assert c_llb[1][1][0] == pytest.approx(-2.0)
 
 
-def test_verify_passes_and_is_deterministic(tmp_path):
-    code1, doc1 = run(["verify", "--m", "2"], tmp_path, "v1.json")
-    code2, doc2 = run(["verify", "--m", "2"], tmp_path, "v2.json")
+@pytest.mark.parametrize(
+    "argv, trunc_bound",
+    [
+        pytest.param(["--m", "2"], (1e-6, 1e-6), id="m2-small"),
+        # the default step keeps the m = 4 wedge pair (1.2e-6) under its gate
+        pytest.param(["--m", "4", "--grid", "default"], (1e-5, 1e-4), id="m4-default"),
+    ],
+)
+def test_verify_passes_and_is_deterministic(argv, trunc_bound, tmp_path):
+    code1, doc1 = run(["verify"] + argv, tmp_path, "v1.json")
+    code2, doc2 = run(["verify"] + argv, tmp_path, "v2.json")
     assert code1 == 0 and code2 == 0
     assert doc1["payload"]["passed"] is True
     assert dump_json(doc1["payload"]) == dump_json(doc2["payload"])
@@ -105,8 +113,8 @@ def test_verify_passes_and_is_deterministic(tmp_path):
     for sec in sections.values():
         assert sec["passed"] is True
     assert 0.0 < sections["connection"]["max_estimated_error"] < 1e-6
-    assert 0.0 < sections["connection"]["max_truncation_error"] < 1e-6
-    assert 0.0 < sections["curvature"]["max_truncation_error"] < 1e-6
+    assert 0.0 < sections["connection"]["max_truncation_error"] < trunc_bound[0]
+    assert 0.0 < sections["curvature"]["max_truncation_error"] < trunc_bound[1]
 
 
 def test_verify_breach_exit_code(tmp_path):
@@ -130,7 +138,7 @@ def test_verify_far_grid_falls_back_to_fixed_factorization_point(tmp_path):
 def test_verify_truncation_term_exceeds_stencil_estimate(tmp_path):
     """At D = 48 the cut, not the stencil, limits the oracle: the D vs 3D/4
     difference (5.8e-3 measured) dwarfs the conjugate-leg estimate
-    (1.1e-8), and the connection gate fails on the default grid.  The
+    (4.6e-10), and the connection gate fails on the default grid.  The
     curvature's D vs 3D/4 difference (4.0e-2) exceeds its deviation from
     the closed form (4.7e-3), whose gate fails too."""
     code, doc = run(["verify", "--m", "2", "--dim", "48", "--grid", "default"], tmp_path)
@@ -155,9 +163,13 @@ def test_bad_config_exit_codes(tmp_path, capsys):
     # no deviation can pass a tolerance of zero or below
     assert main(["verify", "--tolerance", "0"]) == 2
     assert main(["verify", "--tolerance", "-1"]) == 2
-    # the truncation oracle at 3D/4 = 3 needs m < 3
-    assert main(["verify", "--m", "3", "--dim", "4"]) == 2
-    assert "m must be smaller than the space dimension" in capsys.readouterr().err
+    # the truncation oracle at 3D/4 needs m < 3D/4, also where m < D: it is
+    # named, and rejected before any oracle runs
+    for argv in (["--m", "3", "--dim", "4"], ["--m", "3", "--dim", "5"], ["--m", "1", "--dim", "2"]):
+        assert main(["verify"] + argv) == 2
+        err = capsys.readouterr().err
+        assert "m must be smaller than the space dimension" in err
+        assert "truncation oracle, 3*dim//4 = " in err
     step_file = tmp_path / "step.cfg"
     step_file.write_text("step = 1\n")
     for argv in (

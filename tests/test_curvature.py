@@ -16,7 +16,7 @@ from berry_holonomy import (
     f_squared,
     f_squared_from_wedge,
 )
-from berry_holonomy.curvature import PLANE_TANGENTS, _basis
+from berry_holonomy.curvature import COMPONENT_NAMES, PLANE_TANGENTS, _basis
 
 amplitudes = st.complex_numbers(
     max_magnitude=1.2, allow_nan=False, allow_infinity=False
@@ -31,6 +31,20 @@ def test_basis_structure():
     assert np.abs(F - E.conj().T).max() == 0.0
     assert K[2, 2] == 1.0 and np.trace(K) == 1.0
     assert np.trace(L) == 2.0
+
+
+def test_leg_tables_follow_from_legs():
+    """The tables derived from ParameterPoint.legs, pinned to their values."""
+    assert COMPONENT_KEYS == ("lm", "llb", "lmb", "mlb", "mmb", "lbmb")
+    assert list(PLANE_TANGENTS.items()) == [
+        ("lm", ((1, 0), (0, 1))),
+        ("llb", ((1, 0), (1j, 0))),
+        ("lmb", ((1, 0), (0, 1j))),
+        ("mlb", ((0, 1), (1j, 0))),
+        ("mmb", ((0, 1), (0, 1j))),
+        ("lbmb", ((1j, 0), (0, 1j))),
+    ]
+    assert list(COMPONENT_NAMES) == list(COMPONENT_KEYS)
 
 
 @given(amplitudes, amplitudes, ms)
@@ -123,6 +137,6 @@ def test_span_dimension_and_validation():
 def test_span_dimension_raises_when_closure_keeps_growing(monkeypatch):
     """A rank that grows every round is an error, not a partial dimension."""
     ranks = itertools.count(1)
-    monkeypatch.setattr("berry_holonomy.lie.numerical_rank", lambda mats, rtol: next(ranks))
+    monkeypatch.setattr("berry_holonomy.lie.numerical_rank", lambda mats: next(ranks))
     with pytest.raises(ClosureNotStabilized):
         curvature_span_dimension([ParameterPoint(0.32 + 0.21j, 0.43 + 0.14j)], 3)

@@ -108,6 +108,17 @@ def test_loop_composition():
     assert np.abs(w_ab - _polygon_w(LOOP_B) @ _polygon_w(LOOP_A)).max() < 1e-12
 
 
+def test_base_point_covariance():
+    """Moving the base point one vertex along conjugates W by the transport
+    T along the first edge: W(v1 v2 v3 v0) = T W(v0 v1 v2 v3) T+."""
+    verts = LOOP_A + [ParameterPoint(-0.25 + 0.1j, 0.3 + 0.15j)]
+    w0 = _polygon_w(verts)
+    w1 = _polygon_w(verts[1:] + verts[:1])
+    t = transport(polygon_loop(verts[:2], samples_per_side=256, closed=False), 3)
+    assert np.abs(w1 - w0).max() > 0.1
+    assert np.abs(w1 - t @ w0 @ t.conj().T).max() < 1e-12
+
+
 @pytest.mark.parametrize("center", [0.7 - 0.3j, -1.1 + 0.4j])
 def test_circle_phases_off_origin(center):
     """The abelian phases of a lam-circle are 2 pi r^2 wherever it is centred."""
