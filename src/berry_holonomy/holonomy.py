@@ -3,12 +3,16 @@
 Transport solves W'(t) = -A(gamma(t); gamma'(t)) W(t) with the
 fourth-order two-point Gauss-Magnus rule (Iserles & Norsett 1999; Blanes,
 Casas, Oteo & Ros 2009) and restores exact unitarity by one polar
-projection at the end.  `LoopPath.gauss_steps` places the nodes of every
-loop integral strictly inside the loop's smooth pieces, never on a corner.
-A loop's `point_at` and `velocity_at` take arrays of t, so
-`connection.loop_one_form` evaluates the closed connection at all nodes in
-one call, and `parallel_transport` takes W, the abelian diagonal phases and
-the path length from that one evaluation.
+projection at the end.  The step exponentials, the Magnus radius guard and
+the product of the steps are batched numpy operations on the stack of
+steps, with no Python loop over the steps; `logm` is the principal
+logarithm of a unitary matrix.  The module needs nothing beyond numpy.
+`LoopPath.gauss_steps` places the nodes of every loop integral strictly
+inside the loop's smooth pieces, never on a corner.  A loop's `point_at`
+and `velocity_at` take arrays of t, so `connection.loop_one_form`
+evaluates the closed connection at all nodes in one call, and
+`parallel_transport` takes W, the abelian diagonal phases and the path
+length from that one evaluation.
 
 For a small coordinate square of side eps spanned by tangents (u, v),
 log W = -F(u, v) eps^2 + O(eps^3); halving eps divides the residual against
@@ -34,7 +38,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import eigh, logm
 
 from .connection import loop_one_form
 from .curvature import PLANE_TANGENTS, contract_two_form, curvature_closed, plane_contractions
@@ -48,6 +51,20 @@ ALGEBRA_EPS = 1e-2
 ALGEBRA_STEPS_PER_SIDE = 128
 # steps of the segment that carries each center's generators to the origin
 SEGMENT_STEPS = 256
+# square roots `logm` may take, and the least singular value of W + I that
+# a root accepts: below it W has an eigenvalue at -1 and no principal log
+LOG_MAX_ROOTS = 8
+LOG_MIN_GAP = 1e-8
+
+# coefficients b_0..b_13 of the diagonal Pade [13/13] approximant of exp and
+# the 1-norm up to which it is accurate to double precision (Higham 2005,
+# SIAM J. Matrix Anal. Appl. 26:1179, Table 2.3)
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
 
 
 @dataclass
@@ -155,41 +172,101 @@ def square_loop(
     return polygon_loop(verts, samples_per_side=samples_per_side, closed=True)
 
 
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp of every matrix of an (n, m, m) stack: diagonal Pade [13/13]
+    with scaling and squaring (Higham 2005), one `solve` for the stack.
+
+    Each matrix is scaled by its own power of two 2^-s, s the least with
+    1-norm 2^-s |a|_1 < THETA13, and squared back s times.
+    """
+    b = _PADE13
+    s = np.maximum(np.frexp(np.abs(a).sum(axis=-2).max(axis=-1) / _THETA13)[1], 0)
+    a = a * np.ldexp(1.0, -s)[:, None, None]
+    eye = np.eye(a.shape[-1])
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
+    )
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(int(s.max(initial=0))):
+        sel = s > k
+        r[sel] = r[sel] @ r[sel]
+    return r
+
+
 def transport(
     loop: LoopPath, m: int, *, one_form: Optional[Tuple[np.ndarray, np.ndarray]] = None
 ) -> np.ndarray:
     """Fourth-order Gauss-Magnus transport along the full path; one polar
     projection at the end.
 
-    Every step exponentiates Omega = -h/2 (A1 + A2) + sqrt(3) h^2/12 [A2, A1]
-    from the one-form at its two Gauss nodes, through the `eigh` of i Omega:
-    one scipy call for the stack, which runs LAPACK once per step.
+    Every step is exp(Omega), Omega = -h/2 (A1 + A2) + sqrt(3) h^2/12
+    [A2, A1] from the one-form at its two Gauss nodes; `_expm` takes the
+    whole stack of Omega at once, and the ordered product of the steps is
+    taken pairwise, halving the stack with one batched matmul per level.
     `one_form` is `loop_one_form(loop, m)` when the caller has it already.
     The polar projection removes the roundoff that the product of many
     steps accumulates, which would otherwise reach the logarithm of a small
-    loop.  Raises FloatingPointError when a step's i Omega has an eigenvalue
-    of magnitude pi or more (or not finite): such a step lies outside the
-    Magnus convergence radius, and more samples are needed.
+    loop.  Raises FloatingPointError when Omega is not finite or a step's
+    i Omega has an eigenvalue (`eigvalsh` on the stack) of magnitude pi or
+    more: such a step lies outside the Magnus convergence radius, and more
+    samples are needed.
     """
     h, a = loop_one_form(loop, m) if one_form is None else one_form
     a1, a2 = a[:, 0], a[:, 1]
     hh = h[:, None, None]
     omega = -0.5 * hh * (a1 + a2) + (math.sqrt(3.0) / 12.0) * hh * hh * (a2 @ a1 - a1 @ a2)
-    # scipy's eigh, not numpy's truly batched one (6-10x faster on 4096 3x3
-    # matrices): perfbench's tracer books every numpy.linalg.eigh call to
-    # the Fock layer.  LAPACK does not see NaN (it returns zero
-    # eigenvalues), so Omega is checked next to the radius.
-    evals, vecs = eigh(1j * omega, overwrite_a=True, check_finite=False)
-    if not (np.isfinite(omega).all() and np.all(np.abs(evals) < math.pi)):
+    if not (np.isfinite(omega).all() and np.abs(np.linalg.eigvalsh(1j * omega)).max() < math.pi):
         raise FloatingPointError(
             f"transport step outside the Magnus convergence radius at {loop.samples} samples"
         )
-    steps = (vecs * np.exp(-1j * evals)[:, None, :]) @ vecs.conj().transpose(0, 2, 1)
-    w = np.eye(m, dtype=complex)
-    for step in steps:
-        w = step @ w
-    uu, _, vh = np.linalg.svd(w)
+    steps = _expm(omega)
+    while len(steps) > 1:
+        n = len(steps)
+        paired = steps[1::2] @ steps[0 : n - 1 : 2]
+        steps = np.concatenate([paired, steps[n - 1 :]]) if n % 2 else paired
+    uu, _, vh = np.linalg.svd(steps[0])
     return uu @ vh
+
+
+def logm(w: np.ndarray) -> np.ndarray:
+    """Principal logarithm of a unitary matrix W.
+
+    Takes square roots W <- polar(W + I), the principal root of a unitary
+    W without an eigenvalue at -1, until |W - I|_F <= 1/4; the Frobenius
+    norm bounds every |lambda - 1| of the spectrum.  Then log W = 2^k 2
+    artanh(X) after k roots, with the Cayley transform X = (W + I)^-1
+    (W - I), whose norm tan(theta/2) is below 0.13, summed as a series.
+    Raises FloatingPointError when W + I has a singular value below
+    LOG_MIN_GAP (an eigenvalue at -1, where the principal branch is not
+    defined) or LOG_MAX_ROOTS roots leave W away from I.
+    """
+    eye = np.eye(w.shape[0])
+    roots = 0
+    while np.linalg.norm(w - eye) > 0.25:
+        if roots == LOG_MAX_ROOTS:
+            raise FloatingPointError(
+                f"matrix logarithm: W stays away from I after {roots} square roots"
+            )
+        uu, s, vh = np.linalg.svd(w + eye)
+        if s[-1] < LOG_MIN_GAP:
+            raise FloatingPointError(
+                "matrix logarithm: W has an eigenvalue at -1, where no principal branch exists"
+            )
+        w = uu @ vh
+        roots += 1
+    x = np.linalg.solve(w + eye, w - eye)
+    x2 = x @ x
+    term, total = x, x.copy()
+    for j in range(3, 64, 2):
+        term = term @ x2
+        total += term / j
+        if np.abs(term).max() <= 1e-17 * np.abs(total).max():
+            break
+    return 2.0 ** (roots + 1) * total
 
 
 def parallel_transport(loop: LoopPath, m: int) -> Tuple[np.ndarray, float, np.ndarray]:

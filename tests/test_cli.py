@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,6 +270,32 @@ def test_closure_failure_exit_code(monkeypatch, capsys):
     monkeypatch.setattr("berry_holonomy.cli.holonomy_algebra_dimension", unstable)
     assert main(["irreducibility", "--m", "2"]) == 3
     assert "partial dimension 7" in capsys.readouterr().err
+
+
+def test_log_failure_exit_code(monkeypatch, capsys):
+    """A loop holonomy with an eigenvalue at -1 has no principal log: the
+    irreducibility check exits 3 with a message naming the logarithm."""
+    monkeypatch.setattr(
+        "berry_holonomy.holonomy.transport", lambda loop, m, **kw: -np.eye(m, dtype=complex)
+    )
+    assert main(["irreducibility", "--m", "2"]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: matrix logarithm")
+
+
+def test_cli_import_loads_no_scipy():
+    """The package needs numpy only; importing the CLI loads no scipy module."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    code = (
+        "import sys, berry_holonomy.cli; "
+        "print([k for k in sys.modules if k.split('.')[0] == 'scipy'])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 @pytest.mark.parametrize("command", ["connection", "curvature"])

@@ -1,5 +1,8 @@
+import math
+
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
 from berry_holonomy import (
@@ -13,6 +16,15 @@ from berry_holonomy import (
     square_loop,
     transport,
     transported_curvature_dimension,
+)
+from berry_holonomy.connection import loop_one_form
+from berry_holonomy.holonomy import (
+    ALGEBRA_EPS,
+    ALGEBRA_STEPS_PER_SIDE,
+    PLANE_TANGENTS,
+    _THETA13,
+    _expm,
+    logm,
 )
 from berry_holonomy.lie import numerical_rank, real_lie_closure
 
@@ -184,3 +196,133 @@ def test_rank_and_closure_basics():
     assert numerical_rank([e01, 2 * e01]) == 1
     # sl(2) from the two nilpotents: commutator adds the Cartan direction
     assert real_lie_closure([1j * (e01 + e10), e01 - e10]) == 3
+
+
+# -- the numpy matrix functions, against scipy as an independent reference --
+
+
+def _antihermitian_stack(rng, m, norms):
+    """Random anti-hermitian m x m matrices with the given spectral norms."""
+    x = rng.normal(size=(len(norms), m, m)) + 1j * rng.normal(size=(len(norms), m, m))
+    x = x - x.conj().transpose(0, 2, 1)
+    return x * (np.asarray(norms) / np.linalg.norm(x, 2, axis=(1, 2)))[:, None, None]
+
+
+def _random_unitary(rng, m, max_angle):
+    q, _ = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))
+    return (q * np.exp(1j * rng.uniform(-max_angle, max_angle, m))) @ q.conj().T
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_expm_matches_scipy(m):
+    """Spectral norms from 1e-8 to just under pi (the Magnus steps' range),
+    and a batch with norms up to 40, which needs scaling and squaring."""
+    rng = np.random.default_rng(m)
+    stacks = [
+        _antihermitian_stack(rng, m, np.logspace(-8, math.log10(math.pi * (1 - 1e-9)), 40)),
+        _antihermitian_stack(rng, m, np.linspace(6.0, 40.0, 12)),
+        np.zeros((3, m, m), dtype=complex),
+    ]
+    assert np.abs(stacks[1]).sum(axis=-2).max() > 2 * _THETA13
+    for a in stacks:
+        got = _expm(a)
+        assert got.shape == a.shape
+        for x, e in zip(a, got):
+            assert np.abs(e - scipy.linalg.expm(x)).max() < 1e-14
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+def test_logm_matches_scipy_on_unitaries(m):
+    """Eigenvalue angles up to 3.0 take several square roots; the log is
+    the principal one, and exp(log W) returns W."""
+    rng = np.random.default_rng(10 + m)
+    for _ in range(10):
+        w = _random_unitary(rng, m, 3.0)
+        log_w = logm(w)
+        assert np.abs(log_w - scipy.linalg.logm(w)).max() < 1e-12
+        assert np.abs(scipy.linalg.expm(log_w) - w).max() < 1e-12
+
+
+def test_logm_matches_scipy_on_loop_holonomies():
+    """The twelve small-loop holonomies `holonomy_algebra_dimension` takes
+    the log of at m = 3."""
+    for c in CENTERS:
+        for plane in PLANE_TANGENTS:
+            w = transport(square_loop(c, plane, ALGEBRA_EPS, ALGEBRA_STEPS_PER_SIDE), 3)
+            log_w = logm(w)
+            assert np.abs(log_w - scipy.linalg.logm(w)).max() < 1e-14
+            assert np.abs(scipy.linalg.expm(log_w) - w).max() < 1e-14
+
+
+def _rotated(eigenvalues):
+    q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(3, 3)) + 0j)
+    return q @ np.diag(eigenvalues) @ q.conj().T
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        np.diag([-1.0, 1.0]).astype(complex),
+        -np.eye(3, dtype=complex),
+        _rotated([np.exp(2.0j), -1.0, np.exp(-0.5j)]),
+    ],
+    ids=["diag", "minus-identity", "rotated"],
+)
+def test_logm_rejects_eigenvalue_at_minus_one(w):
+    """No principal log exists; the root loop stops with an error instead
+    of spinning or returning another branch."""
+    with pytest.raises(FloatingPointError, match="matrix logarithm: W has an eigenvalue at -1"):
+        logm(w)
+
+
+def test_logm_root_budget(monkeypatch):
+    """The square roots stop at LOG_MAX_ROOTS; angle 3.0 needs four."""
+    w = _rotated(np.exp(1j * np.array([3.0, -1.0, 0.2])))
+    monkeypatch.setattr("berry_holonomy.holonomy.LOG_MAX_ROOTS", 3)
+    with pytest.raises(FloatingPointError, match="matrix logarithm: W stays away from I after 3"):
+        logm(w)
+    monkeypatch.setattr("berry_holonomy.holonomy.LOG_MAX_ROOTS", 4)
+    assert np.abs(logm(w) - scipy.linalg.logm(w)).max() < 1e-13
+
+
+def test_logm_principal_branch_near_minus_one():
+    """Angles +-(pi - 1e-6) keep their signs: the log is the principal one.
+    The root of W + I loses about eps/1e-6 of the angle there."""
+    angles = np.array([math.pi - 1e-6, -(math.pi - 1e-6), 0.5])
+    q, _ = np.linalg.qr(np.random.default_rng(5).normal(size=(3, 3)) + 0j)
+    for basis in (np.eye(3), q):
+        w = basis @ np.diag(np.exp(1j * angles)) @ basis.conj().T
+        log_w = basis.conj().T @ logm(w) @ basis
+        assert np.abs(log_w - np.diag(1j * angles)).max() < 1e-9
+
+
+def test_transport_matches_sequential_scipy_product():
+    """The pairwise product of the batched Pade steps against the step loop
+    w <- expm(Omega_k) w with scipy's expm, on a polygon whose mu varies."""
+    loop = polygon_loop(LOOP_A, samples_per_side=101)
+    h, a = loop_one_form(loop, 3)
+    a1, a2 = a[:, 0], a[:, 1]
+    hh = h[:, None, None]
+    omega = -0.5 * hh * (a1 + a2) + (math.sqrt(3.0) / 12.0) * hh * hh * (a2 @ a1 - a1 @ a2)
+    w = np.eye(3, dtype=complex)
+    for x in omega:
+        w = scipy.linalg.expm(x) @ w
+    u, _, vh = np.linalg.svd(w)
+    assert len(omega) == 303
+    assert np.abs(transport(loop, 3) - u @ vh).max() < 1e-13
+
+
+@pytest.mark.parametrize("factor, raises", [(1 - 1e-9, False), (1 + 1e-9, True)])
+def test_transport_radius_guard(factor, raises):
+    """One step whose i Omega has spectral radius pi * factor: the guard
+    passes it just inside the Magnus radius and rejects it just outside."""
+    m = 3
+    omega = -1j * np.diag([math.pi * factor, 0.3, -1.0])
+    one_form = (np.ones(1), np.broadcast_to(-omega, (1, 2, m, m)))
+    loop = lambda_circle(0.5, samples=1)
+    if raises:
+        with pytest.raises(FloatingPointError, match="Magnus convergence radius at 1 samples"):
+            transport(loop, m, one_form=one_form)
+    else:
+        w = transport(loop, m, one_form=one_form)
+        assert np.abs(w - np.diag(np.exp(np.diag(omega)))).max() < 1e-14
