@@ -346,6 +346,20 @@ def test_config_file_and_flag_override(tmp_path):
     assert doc["payload"]["m"] == 2
 
 
+def test_grid_with_point_flags_is_rejected(tmp_path, capsys):
+    """--grid and a point flag name different points: exit 2, nothing written."""
+    for argv, given in (
+        (["connection", "--grid", "default", "--lambda", "0.3"], "--lambda"),
+        (["curvature", "--grid", "small", "--mu", "0.2i", "--format", "csv"], "--mu"),
+        (["connection", "--grid", "small", "--lambda", "0", "--mu", "1"], "--lambda and --mu"),
+    ):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"configuration error: --grid and {given} both given")
+        assert not out.exists()
+
+
 def test_config_file_unknown_key(tmp_path, capsys):
     cfg = tmp_path / "run.conf"
     cfg.write_text("banana = 3\n")
