@@ -28,19 +28,9 @@ from .family import (
     GeneralizedPoint,
     ParameterPoint,
     classifying_projector,
-    hamiltonian_h0,
-    isospectral_check,
-    unitary_u,
     vacuum_frame,
 )
-from .fock import (
-    TruncatedSpace,
-    bch_identity_report,
-    displacement,
-    exp_antihermitian,
-    make_operators,
-    squeeze,
-)
+from .fock import TruncatedSpace, bch_identity_report
 from .holonomy import (
     LoopPath,
     holonomy_algebra_dimension,
@@ -52,15 +42,11 @@ from .holonomy import (
     transport,
     transported_curvature_dimension,
 )
-from .lie import ClosureNotStabilized, numerical_rank, real_lie_closure, real_vector
+from .lie import ClosureNotStabilized, numerical_rank, real_lie_closure
 from .numeric import (
-    DifferentiationPlan,
     OracleResult,
     connection_numeric,
-    convergence_report,
-    curvature_from_components,
     derivative_identity_report,
-    global_form_check,
     wirtinger_derivative,
 )
 from .reports import IdentityReport, dump_json

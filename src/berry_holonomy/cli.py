@@ -64,7 +64,7 @@ from .holonomy import (
     polygon_loop,
 )
 from .lie import ClosureNotStabilized
-from .numeric import DifferentiationPlan, connection_numeric, derivative_identity_report
+from .numeric import STEP, connection_numeric, derivative_identity_report
 from .reports import RawJSON, dump_json, matrix_payload, render_points
 
 
@@ -143,7 +143,7 @@ def _dim(text) -> int:
 SETTINGS = (
     ("m", int, 2, "vacuum degeneracy"),
     ("dim", _dim, "auto", "truncation dimension or 'auto' (128)"),
-    ("step", float, DifferentiationPlan.h, "stencil step for oracles"),
+    ("step", float, STEP, "stencil step for oracles"),
     ("samples", int, 2048, "loop sample count"),
     ("grid", str, None, "'default', 'small', or a JSON file"),
     ("out", str, None, "output file (stdout when omitted)"),
@@ -155,6 +155,7 @@ SETTINGS = (
 LIMITS = {
     "m": (lambda v: v >= 1, "m must be positive"),
     "dim": (lambda v: v >= 2, "dim must be at least 2"),
+    "step": (lambda v: 1e-8 <= v <= 1e-2, "step size out of the supported range"),
     "samples": (lambda v: v >= 4, "samples must be at least 4"),
     "format": (lambda v: v in ("json", "csv"), "unknown format {!r}"),
     "tolerance": (lambda v: 0 < v < math.inf, "tolerance must be positive and finite"),
@@ -272,7 +273,6 @@ def _verify(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
     if m >= coarse_dim:
         msg = "m must be smaller than the space dimension of the truncation oracle, 3*dim//4"
         raise ConfigError(f"{msg} = {coarse_dim}")
-    plan = DifferentiationPlan(h=cfg.step)
     space = TruncatedSpace(cfg.dim)
     points = grid_points(cfg.grid or "small")
 
@@ -282,9 +282,9 @@ def _verify(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
 
     batch = _stack_points(points)
     conn = connection_closed(batch, m)
-    oracle = connection_numeric(batch, m, space, plan)
+    oracle = connection_numeric(batch, m, space, cfg.step)
     # the oracle at 3D/4: how far truncation alone moves it (informational)
-    coarse = connection_numeric(batch, m, TruncatedSpace(coarse_dim), plan)
+    coarse = connection_numeric(batch, m, TruncatedSpace(coarse_dim), cfg.step)
     max_abs = lambda x, y: float(np.abs(x - y).max())
     conn_dev = max(max_abs(conn.a_lambda, oracle.a[0]), max_abs(conn.a_mu, oracle.a[1]))
     trunc = max(map(max_abs, oracle.a, coarse.a))

@@ -1,12 +1,14 @@
 """The displaced-squeezed isospectral family and its degenerate vacuum frame.
 
 H0 = N(N-1)...(N-m+1) has an m-fold degenerate vacuum spanned by the first
-m number states.  Conjugating by U(lam, mu) = displacement(lam) squeeze(mu)
-produces an isospectral family whose vacuum frame V = U V0 (V0 the first m
-coordinate columns) classifies the parameter point into the rank-m
-projectors via P = V V+.  `unitary_u`, `vacuum_frame` and
-`classifying_projector` take a ParameterPoint of arrays as a batch and
-stack their matrices behind its shape, from one factor-engine call.
+m number states.  Conjugating by U(lam, mu) = D(lam) S(mu), the
+displacement by lam followed by the squeeze by mu, produces an isospectral
+family whose vacuum frame V = U V0 (V0 the first m coordinate columns)
+classifies the parameter point into the rank-m projectors via P = V V+.
+The full U is `fock.apply_factors(p.factors, identity)`; only the tests
+form it.  `vacuum_frame` and `classifying_projector` take a
+ParameterPoint of arrays as a batch and stack their matrices behind its
+shape, from one factor-engine call.
 
 A multi-parameter extension, GeneralizedPoint, replaces U by an ordered
 product of k exponentials exp{(lam_j (a+)^j - conj(lam_j) a^j)/j},
@@ -62,25 +64,6 @@ class GeneralizedPoint:
 Point = ParameterPoint | GeneralizedPoint
 
 
-def hamiltonian_h0(m: int, space: TruncatedSpace) -> np.ndarray:
-    """Diagonal n(n-1)...(n-m+1); the first m entries vanish identically."""
-    if m < 1:
-        raise ValueError("m must be positive")
-    if m >= space.dim:
-        raise ValueError("m must be smaller than the space dimension")
-    n = np.arange(space.dim, dtype=float)
-    diag = np.ones(space.dim)
-    for k in range(m):
-        diag = diag * (n - k)
-    return np.diag(diag).astype(complex)
-
-
-def unitary_u(p: Point, space: TruncatedSpace) -> np.ndarray:
-    """The ordered product of p's factors, left to right: displacement(lam)
-    then squeeze(mu) for a ParameterPoint."""
-    return apply_factors(p.factors, np.eye(space.dim))
-
-
 def vacuum_frame(p: Point, m: int, space: TruncatedSpace) -> np.ndarray:
     """First m columns of U(p); an orthonormal frame for the conjugated vacuum."""
     return apply_factors(p.factors, np.eye(space.dim)[:, :m])
@@ -90,24 +73,3 @@ def classifying_projector(p: Point, m: int, space: TruncatedSpace) -> np.ndarray
     """P = V V+ for the vacuum frame V at p."""
     v = vacuum_frame(p, m, space)
     return v @ np.swapaxes(v.conj(), -1, -2)
-
-
-def isospectral_check(p: ParameterPoint, m: int, space: TruncatedSpace) -> Tuple[float, int]:
-    """(max_dev, kernel_dim): the lower half of the spectrum of U H0 U+
-    against H0, and the size of the near-kernel.
-
-    The conjugated Hamiltonian shares the spectrum of H0 by construction, so
-    `max_dev` over the lowest D // 2 eigenvalues (always that many) isolates
-    eigen-solver noise; the near-kernel must be at least m-dimensional.
-    """
-    D = space.dim
-    h0 = hamiltonian_h0(m, space)
-    u = unitary_u(p, space)
-    h = u @ h0 @ u.conj().T
-    h = 0.5 * (h + h.conj().T)
-    ev_h = np.sort(np.linalg.eigvalsh(h))
-    ev_h0 = np.sort(np.diag(h0).real)
-    count = D // 2
-    max_dev = float(np.abs(ev_h[:count] - ev_h0[:count]).max())
-    kernel = int(np.sum(np.abs(ev_h) < 1e-8))
-    return max_dev, kernel

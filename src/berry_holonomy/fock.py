@@ -3,7 +3,9 @@
 Everything lives on the first D number levels as dense complex D x D
 matrices.  The annihilator acts as a|n> = sqrt(n)|n-1>, the two-photon
 generators are K+ = (a+)^2/2, K- = a^2/2, K3 = (a+ a + 1/2)/2, which close
-under commutation as [K3, K+-] = +-K+-, [K+, K-] = -2 K3.
+under commutation as [K3, K+-] = +-K+-, [K+, K-] = -2 K3.  Their matrices
+are never formed here; the tests build them (`tests/reference.py`) as the
+direct reference for the engine below.
 
 One factor engine, `apply_factors`, builds every unitary of the package:
 ordered products of exp((z (a+)^j - conj(z) a^j) / j), where j = 1 is the
@@ -15,9 +17,6 @@ O(D^2 k) on a D x k block, where a batch of points folds into k.  The
 engine takes any factor list, so the oracle's one frame-derivative path
 (`numeric._frame_legs`) serves both the two-parameter and the generalized
 family.
-
-Every operator here is a plain complex ndarray; `make_operators` returns
-them in a dict keyed by name (only the tests use it).
 
 Truncation corrupts only the top levels: commutation relations and the
 disentangling identities below hold exactly on an interior block whose
@@ -32,7 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
@@ -48,35 +47,6 @@ class TruncatedSpace:
     def __post_init__(self):
         if self.dim < 2:
             raise ValueError("dimension too small")
-
-
-def make_operators(space: TruncatedSpace) -> Dict[str, np.ndarray]:
-    """Ladder and two-photon generators on the truncated space, keyed
-    a, a_dag, N, K_plus, K_minus, K_3."""
-    D = space.dim
-    a = np.zeros((D, D), dtype=complex)
-    for n in range(1, D):
-        a[n - 1, n] = math.sqrt(n)
-    ad = a.conj().T
-    n_op = ad @ a
-    kp = 0.5 * (ad @ ad)
-    km = 0.5 * (a @ a)
-    k3 = 0.5 * (n_op + 0.5 * np.eye(D))
-    return {"a": a, "a_dag": ad, "N": n_op, "K_plus": kp, "K_minus": km, "K_3": k3}
-
-
-def exp_antihermitian(g: np.ndarray) -> np.ndarray:
-    """e^G for anti-hermitian G, via the hermitian eigen-solve of iG.
-
-    The result is unitary to roundoff for any norm of G, unlike generic
-    scaling-and-squaring which loses unitarity for large generators.
-    """
-    G = np.asarray(g, dtype=complex)
-    defect = np.abs(G + G.conj().T).max()
-    if defect > 1e-12 * max(1.0, np.abs(G).max()):
-        raise ValueError("generator is not anti-hermitian (defect %.3e)" % defect)
-    w, V = np.linalg.eigh(1j * G)
-    return (V * np.exp(-1j * w)) @ V.conj().T
 
 
 @functools.lru_cache(maxsize=None)
@@ -123,16 +93,6 @@ def apply_factors(factors: Sequence[Tuple[int, complex]], x: np.ndarray) -> np.n
         rot = np.exp(-1j * np.abs(z) * w[:, np.newaxis, np.newaxis])
         y = phase * mul(v, rot * mul(vh, phase.conj() * y))
     return np.moveaxis(y, 0, 1).reshape(batch + x.shape)
-
-
-def displacement(lam: complex, space: TruncatedSpace) -> np.ndarray:
-    """exp(lam a+ - conj(lam) a)."""
-    return apply_factors([(1, lam)], np.eye(space.dim))
-
-
-def squeeze(mu: complex, space: TruncatedSpace) -> np.ndarray:
-    """exp(mu K+ - conj(mu) K-)."""
-    return apply_factors([(2, mu)], np.eye(space.dim))
 
 
 def _raising_exp(c: complex, j: int, D: int) -> np.ndarray:
@@ -210,12 +170,12 @@ def bch_identity_report(lam: complex, mu: complex, space: TruncatedSpace) -> Ide
     # K3 is diagonal with entries (n + 1/2)/2
     squeeze_diag = np.power(1.0 - abs(zeta) ** 2, 0.5 * (np.arange(D) + 0.5))
     identities = (
-        ("displacement", displacement(lam, space), 1, lam,
-         math.exp(-0.5 * abs(lam) ** 2), displacement_buffer(lam, D)),
-        ("squeeze", squeeze(mu, space), 2, zeta / 2, squeeze_diag, squeeze_buffer(mu, D)),
+        ("displacement", 1, lam, lam, math.exp(-0.5 * abs(lam) ** 2), displacement_buffer(lam, D)),
+        ("squeeze", 2, mu, zeta / 2, squeeze_diag, squeeze_buffer(mu, D)),
     )
     extras = {}
-    for name, lhs, j, c, diag, b in identities:
+    for name, j, z, c, diag, b in identities:
+        lhs = apply_factors([(j, z)], np.eye(D))
         rhs = (_raising_exp(c, j, D) * diag) @ _raising_exp(-np.conj(c), j, D).T
         interior, boundary = _split_deviation(lhs - rhs, b)
         extras[name] = {"interior_dev": interior, "boundary_dev": boundary, "buffer": b}

@@ -27,15 +27,14 @@ from berry_holonomy import (
     f_squared_from_wedge,
     holonomy_algebra_dimension,
     lambda_circle,
-    make_operators,
     parallel_transport,
     small_loop_check,
     transported_curvature_dimension,
 )
 from berry_holonomy.cli import grid_points, main
 from berry_holonomy.curvature import PLANE_TANGENTS, _basis
-from berry_holonomy.numeric import DifferentiationPlan
 from berry_holonomy.reports import dump_json
+from reference import make_operators
 
 GRID = grid_points("default")
 
@@ -58,7 +57,7 @@ def _line(num: int, ok: bool, detail: str) -> None:
 
 
 SPACE128 = TruncatedSpace(128)
-PLAN = DifferentiationPlan(h=1e-4)
+H = 1e-4
 
 
 def test_criterion_01_connection_against_oracle():
@@ -67,7 +66,7 @@ def test_criterion_01_connection_against_oracle():
     for m in (2, 3, 4):
         for p in GRID:
             closed = connection_closed(p, m)
-            oracle = connection_numeric(p, m, SPACE128, PLAN)
+            oracle = connection_numeric(p, m, SPACE128, H)
             worst = max(
                 worst,
                 float(np.abs(closed.a_lambda - oracle.a[0]).max()),
@@ -92,7 +91,7 @@ def test_criterion_02_curvature_against_oracle():
         for p in GRID:
             closed = curvature_closed(p, m)
             assert np.abs(closed.components["llb"] - neg_mk).max() == 0.0
-            oracle = connection_numeric(p, m, SPACE128, PLAN).curvature
+            oracle = connection_numeric(p, m, SPACE128, H).curvature
             for k in COMPONENT_KEYS:
                 worst[k] = max(
                     worst[k],
@@ -111,7 +110,7 @@ def test_criterion_03_wedge_square_three_way():
     for m in (2, 3):
         for p in WEDGE_POINTS:
             w_closed = f_squared_from_wedge(curvature_closed(p, m))
-            w_oracle = f_squared_from_wedge(connection_numeric(p, m, SPACE128, PLAN).curvature)
+            w_oracle = f_squared_from_wedge(connection_numeric(p, m, SPACE128, H).curvature)
             gate = max(gate, float(np.abs(w_closed - w_oracle).max()))
             formula = max(formula, float(np.abs(w_closed - f_squared(p.mu, m)).max()))
     ok = gate < 1e-5

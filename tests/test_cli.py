@@ -9,6 +9,7 @@ import pytest
 
 from berry_holonomy.cli import (
     ConfigError,
+    build_config,
     build_parser,
     grid_points,
     main,
@@ -185,6 +186,12 @@ def test_bad_config_exit_codes(tmp_path, capsys):
         assert main(argv + ["--out", str(out)]) == 2, argv
         assert "step size out of the supported range" in capsys.readouterr().err
         assert not out.exists()
+    # both bounds are inclusive; checked when the settings are read, before any oracle
+    parser = build_parser()
+    for step in ("1e-8", "1e-2"):
+        assert build_config(parser.parse_args(["verify", "--step", step])).step == float(step)
+    assert main(["verify", "--step", "0.0100001"]) == 2
+    assert "step size out of the supported range" in capsys.readouterr().err
     assert main(["connection", "--m", "2", "--grid", "/missing.json"]) == 2
     assert main(["holonomy", "--loop", "/missing.json"]) == 2
     capsys.readouterr()

@@ -11,12 +11,12 @@ from berry_holonomy import (
     connection_closed,
     contract_two_form,
     curvature_closed,
-    curvature_from_components,
     curvature_span_dimension,
     f_squared,
     f_squared_from_wedge,
 )
 from berry_holonomy.curvature import COMPONENT_NAMES, PLANE_TANGENTS, _basis
+from reference import curvature_from_components
 
 amplitudes = st.complex_numbers(
     max_magnitude=1.2, allow_nan=False, allow_infinity=False
