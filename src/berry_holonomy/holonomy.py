@@ -5,8 +5,11 @@ fourth-order two-point Gauss-Magnus rule (Iserles & Norsett 1999; Blanes,
 Casas, Oteo & Ros 2009) and restores exact unitarity by one polar
 projection at the end.  The step exponentials, the Magnus radius guard and
 the product of the steps are batched numpy operations on the stack of
-steps, with no Python loop over the steps; `logm` is the principal
-logarithm of a unitary matrix.  The module needs nothing beyond numpy.
+steps, with no Python loop over the steps.  The exponentials take the
+lowest Pade degree whose range covers the stack's largest 1-norm, and the
+guard needs eigenvalues only when some step's Frobenius norm reaches pi.
+`logm` is the principal logarithm of a unitary matrix.  The module needs
+nothing beyond numpy.
 `LoopPath.gauss_steps` places the nodes of every loop integral strictly
 inside the loop's smooth pieces, never on a corner.  A loop's `point_at`
 and `velocity_at` take arrays of t, so `connection.loop_one_form`
@@ -56,15 +59,31 @@ SEGMENT_STEPS = 256
 LOG_MAX_ROOTS = 8
 LOG_MIN_GAP = 1e-8
 
-# coefficients b_0..b_13 of the diagonal Pade [13/13] approximant of exp and
-# the 1-norm up to which it is accurate to double precision (Higham 2005,
-# SIAM J. Matrix Anal. Appl. 26:1179, Table 2.3)
+# coefficients b_0..b_p of the diagonal Pade [p/p] approximants of exp, and
+# the 1-norm up to which each is accurate to double precision (Higham 2005,
+# SIAM J. Matrix Anal. Appl. 26:1179, Table 2.3 and Algorithm 2.3)
 _PADE13 = (
     64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
     1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
     33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
 )
 _THETA13 = 5.371920351148152
+# (theta_p, b_0..b_p) for p = 3, 5, 7, 9
+_PADE_LOW = (
+    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (
+        9.504178996162932e-1,
+        (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    ),
+    (
+        2.097847961257068,
+        (
+            17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+            2162160.0, 110880.0, 3960.0, 90.0, 1.0,
+        ),
+    ),
+)
 
 
 @dataclass
@@ -173,16 +192,29 @@ def square_loop(
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp of every matrix of an (n, m, m) stack: diagonal Pade [13/13]
-    with scaling and squaring (Higham 2005), one `solve` for the stack.
+    """exp of every matrix of an (n, m, m) stack by a diagonal Pade
+    approximant (Higham 2005, Algorithm 2.3), one `solve` for the stack.
 
-    Each matrix is scaled by its own power of two 2^-s, s the least with
-    1-norm 2^-s |a|_1 < THETA13, and squared back s times.
+    The degree is chosen once for the stack: the lowest of 3, 5, 7, 9 whose
+    theta bounds the largest 1-norm in the stack.  Above theta_9 it is
+    [13/13] with scaling and squaring: each matrix is scaled by its own
+    power of two 2^-s, s the least with 1-norm 2^-s |a|_1 < THETA13, and
+    squared back s times.
     """
-    b = _PADE13
-    s = np.maximum(np.frexp(np.abs(a).sum(axis=-2).max(axis=-1) / _THETA13)[1], 0)
-    a = a * np.ldexp(1.0, -s)[:, None, None]
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
     eye = np.eye(a.shape[-1])
+    largest = norm.max(initial=0.0)
+    for theta, b in _PADE_LOW:
+        if largest <= theta:
+            even = [eye, a @ a]
+            while len(even) < len(b) // 2:
+                even.append(even[-1] @ even[1])
+            u = a @ sum(c * x for c, x in zip(b[1::2], even))
+            v = sum(c * x for c, x in zip(b[0::2], even))
+            return np.linalg.solve(v - u, v + u)
+    b = _PADE13
+    s = np.maximum(np.frexp(norm / _THETA13)[1], 0)
+    a = a * np.ldexp(1.0, -s)[:, None, None]
     a2 = a @ a
     a4 = a2 @ a2
     a6 = a4 @ a2
@@ -211,15 +243,23 @@ def transport(
     The polar projection removes the roundoff that the product of many
     steps accumulates, which would otherwise reach the logarithm of a small
     loop.  Raises FloatingPointError when Omega is not finite or a step's
-    i Omega has an eigenvalue (`eigvalsh` on the stack) of magnitude pi or
-    more: such a step lies outside the Magnus convergence radius, and more
-    samples are needed.
+    i Omega has an eigenvalue of magnitude pi or more: such a step lies
+    outside the Magnus convergence radius, and more samples are needed.
+    The Frobenius norm of the hermitian i Omega bounds its eigenvalues, so
+    the eigenvalues (`eigvalsh` on the stack) are taken only when some
+    step's |Omega|_F is pi or more.
     """
     h, a = loop_one_form(loop, m) if one_form is None else one_form
     a1, a2 = a[:, 0], a[:, 1]
     hh = h[:, None, None]
     omega = -0.5 * hh * (a1 + a2) + (math.sqrt(3.0) / 12.0) * hh * hh * (a2 @ a1 - a1 @ a2)
-    if not (np.isfinite(omega).all() and np.abs(np.linalg.eigvalsh(1j * omega)).max() < math.pi):
+    if not (
+        np.isfinite(omega).all()
+        and (
+            np.linalg.norm(omega, axis=(1, 2)).max() < math.pi
+            or np.abs(np.linalg.eigvalsh(1j * omega)).max() < math.pi
+        )
+    ):
         raise FloatingPointError(
             f"transport step outside the Magnus convergence radius at {loop.samples} samples"
         )

@@ -4,18 +4,21 @@ None of these is reached by a command: each restates, by a different route,
 something the package computes.  Dense operator matrices and a direct
 eigen-solve exponential check the factor engine; the Hamiltonian H0 and the
 spectrum of U H0 U+ check the family's isospectrality; dA + A ^ A of a
-connection field and the projector two-form P dP ^ dP check the curvature.
+connection field and the projector two-form P dP ^ dP check the curvature;
+a closure that commutes one pair at a time and ranks a per-matrix row list
+checks the batched Lie closure.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 import numpy as np
 
 from berry_holonomy.curvature import CurvatureForm, curvature_closed, leg_pairs
 from berry_holonomy.family import ParameterPoint, classifying_projector, vacuum_frame
 from berry_holonomy.fock import TruncatedSpace, apply_factors
+from berry_holonomy.lie import CLOSURE_ROUNDS, RANK_RTOL, ClosureNotStabilized
 from berry_holonomy.numeric import STEP, _dagger, wirtinger_derivative
 from berry_holonomy.reports import IdentityReport
 
@@ -152,3 +155,68 @@ def global_form_check(
         boundary_dev=max(d[1] for d in devs.values()),
         extras={f"{key}_frame_dev": d[0] for key, d in devs.items()},
     )
+
+
+# -- the pair-loop Lie closure: one commutator and one row per Python step --
+
+
+def real_vector(mat: np.ndarray) -> np.ndarray:
+    return np.concatenate([mat.real.ravel(), mat.imag.ravel()])
+
+
+def numerical_rank(mats: Sequence[np.ndarray]) -> int:
+    """Rank of the stacked real vectors, each normalized to unit max-abs so
+    small commutators are not drowned by the singular-value threshold."""
+    if not mats:
+        return 0
+    rows = [real_vector(mat) / max(np.abs(mat).max(), 1e-300) for mat in mats]
+    s = np.linalg.svd(np.array(rows), compute_uv=False)
+    if s[0] == 0.0:
+        return 0
+    return int(np.sum(s > RANK_RTOL * s[0]))
+
+
+def real_lie_closure(gens: Sequence[np.ndarray]) -> int:
+    """Dimension of the closure under commutators.
+
+    Each round commutes all current pairs, appends the nonzero results, and
+    recomputes the rank; stabilization means one full round added nothing.
+    Raises ClosureNotStabilized when CLOSURE_ROUNDS rounds do not stabilize.
+    The basis list is capped to keep the pairwise pass quadratic in a small
+    number; the cap is far above m^2 for any m this library handles.
+    """
+    basis: List[np.ndarray] = [
+        mat / np.abs(mat).max() for mat in gens if np.abs(mat).max() > 1e-14
+    ]
+    dim = numerical_rank(basis)
+    if dim == 0:
+        return 0
+    for _ in range(CLOSURE_ROUNDS):
+        fresh = []
+        for i in range(len(basis)):
+            for j in range(i + 1, len(basis)):
+                c = basis[i] @ basis[j] - basis[j] @ basis[i]
+                if np.abs(c).max() > 1e-14:
+                    fresh.append(c / np.abs(c).max())
+        new_dim = numerical_rank(basis + fresh)
+        if new_dim == dim:
+            return dim
+        basis = basis + fresh
+        dim = new_dim
+        if len(basis) > 400:
+            basis = _compress(basis, dim)
+    raise ClosureNotStabilized(dim, CLOSURE_ROUNDS)
+
+
+def _compress(basis: List[np.ndarray], dim: int) -> List[np.ndarray]:
+    """Replace a bloated spanning list by `dim` orthogonal combinations."""
+    shape = basis[0].shape
+    rows = np.array([real_vector(b) for b in basis])
+    _, _, vh = np.linalg.svd(rows, full_matrices=False)
+    half = shape[0] * shape[1]
+    out = []
+    for k in range(dim):
+        v = vh[k]
+        mat = v[:half].reshape(shape) + 1j * v[half:].reshape(shape)
+        out.append(mat / np.abs(mat).max())
+    return out

@@ -17,11 +17,14 @@ from berry_holonomy import (
     transport,
     transported_curvature_dimension,
 )
+from berry_holonomy.cli import SPAN_SAMPLE_POINTS, main
 from berry_holonomy.connection import loop_one_form
+from berry_holonomy.curvature import curvature_span_dimension
 from berry_holonomy.holonomy import (
     ALGEBRA_EPS,
     ALGEBRA_STEPS_PER_SIDE,
     PLANE_TANGENTS,
+    _PADE_LOW,
     _THETA13,
     _expm,
     logm,
@@ -170,6 +173,12 @@ def test_holonomy_algebra_dimensions():
     assert holonomy_algebra_dimension(CENTERS, 3) == 9
 
 
+def test_irreducibility_dimensions_m5():
+    """At m = 5 the loop route fills u(5) and the curvature span stays 4."""
+    assert holonomy_algebra_dimension(CENTERS, 5) == 25
+    assert curvature_span_dimension(SPAN_SAMPLE_POINTS, 5) == 4
+
+
 def test_transported_curvature_dimensions():
     assert transported_curvature_dimension(CENTERS, 2) == 4
     assert transported_curvature_dimension(CENTERS, 3) == 9
@@ -229,6 +238,49 @@ def test_expm_matches_scipy(m):
         assert got.shape == a.shape
         for x, e in zip(a, got):
             assert np.abs(e - scipy.linalg.expm(x)).max() < 1e-14
+
+
+def _with_largest_1norm(stack, norm):
+    """The stack rescaled so its largest 1-norm is `norm`, the others keeping
+    their ratios to it."""
+    return stack * (norm / np.abs(stack).sum(axis=-2).max())
+
+
+_THETAS = [theta for theta, _ in _PADE_LOW] + [_THETA13]
+
+
+def _assert_expm_close(a):
+    got = _expm(a)
+    assert got.shape == a.shape
+    for x, e in zip(a, got):
+        want = scipy.linalg.expm(x)
+        assert np.abs(e - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+@pytest.mark.parametrize("degree, theta", zip([3, 5, 7, 9, 13], _THETAS))
+def test_expm_degree_brackets_match_scipy(m, degree, theta):
+    """Stacks whose largest 1-norm sits just below each theta, so every
+    Pade degree, and the top of its range, is checked against scipy."""
+    rng = np.random.default_rng(100 * degree + m)
+    a = _antihermitian_stack(rng, m, rng.uniform(0.1, 1.0, 16))
+    _assert_expm_close(_with_largest_1norm(a, theta * (1 - 1e-12)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5])
+def test_expm_scaling_and_mixed_stacks_match_scipy(m):
+    """A stack at 1-norm 40 takes scaling and squaring; a stack straddling
+    theta_5 is evaluated at degree 7 for all of its matrices, the small
+    ones too."""
+    rng = np.random.default_rng(200 + m)
+    scaled = _with_largest_1norm(_antihermitian_stack(rng, m, rng.uniform(0.5, 1.0, 8)), 40.0)
+    _assert_expm_close(scaled)
+    theta5 = _THETAS[1]
+    mixed = _antihermitian_stack(rng, m, np.ones(12))
+    mixed = mixed / np.abs(mixed).sum(axis=-2).max(axis=-1)[:, None, None]
+    mixed = mixed * np.geomspace(1e-6 * theta5, 1.5 * theta5, 12)[:, None, None]
+    assert np.abs(mixed).sum(axis=-2).max() < _THETAS[2]
+    _assert_expm_close(mixed)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -326,3 +378,53 @@ def test_transport_radius_guard(factor, raises):
     else:
         w = transport(loop, m, one_form=one_form)
         assert np.abs(w - np.diag(np.exp(np.diag(omega)))).max() < 1e-14
+
+
+def _conjugated_step(q, factor):
+    return q @ (-1j * np.diag([math.pi * factor, 0.3, -1.0])) @ q.conj().T
+
+
+@pytest.mark.parametrize("factor, raises", [(1 - 1e-9, False), (1 + 1e-9, True)])
+def test_transport_radius_guard_conjugated(factor, raises):
+    """The guard's twin in a random basis: Q (-i diag(pi f, 0.3, -1)) Q+,
+    whose Frobenius norm exceeds pi, so the eigenvalue test decides."""
+    m = 3
+    q = _random_unitary(np.random.default_rng(17), m, math.pi)
+    omega = _conjugated_step(q, factor)
+    one_form = (np.ones(1), np.broadcast_to(-omega, (1, 2, m, m)))
+    loop = lambda_circle(0.5, samples=1)
+    if raises:
+        with pytest.raises(FloatingPointError, match="Magnus convergence radius at 1 samples"):
+            transport(loop, m, one_form=one_form)
+    else:
+        w = transport(loop, m, one_form=one_form)
+        assert np.abs(w - scipy.linalg.expm(omega)).max() < 1e-14
+
+
+def test_transport_guard_falls_back_to_eigenvalues(monkeypatch):
+    """A step with |Omega|_F >= pi but spectral radius 0.9 pi passes, and
+    only through the `eigvalsh` test."""
+    m = 3
+    omega = -0.9j * math.pi * np.diag([1.0, -1.0, 1.0])
+    assert np.linalg.norm(omega) >= math.pi
+    eigvalsh = np.linalg.eigvalsh
+    calls = []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: calls.append(x.shape) or eigvalsh(x))
+    one_form = (np.ones(1), np.broadcast_to(-omega, (1, 2, m, m)))
+    w = transport(lambda_circle(0.5, samples=1), m, one_form=one_form)
+    assert calls == [(1, m, m)]
+    assert np.abs(w - np.diag(np.exp(np.diag(omega)))).max() < 1e-14
+
+
+def test_holonomy_command_skips_eigenvalue_guard(monkeypatch, tmp_path):
+    """Every step of a 4096-sample circle has |Omega|_F < pi, so the guard
+    never needs the eigenvalues."""
+
+    def refuse(x):
+        raise AssertionError("eigvalsh called")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    out = tmp_path / "w.json"
+    argv = ["holonomy", "--m", "3", "--samples", "4096", "--mu", "2", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.exists()
