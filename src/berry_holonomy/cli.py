@@ -267,6 +267,11 @@ def _curvature_fields(p: ParameterPoint, m: int) -> List[Tuple[str, np.ndarray]]
     return [(COMPONENT_NAMES[k], form.components[k]) for k in COMPONENT_KEYS]
 
 
+# points per factorization report in `verify`: the default grid's 25 make one,
+# and the report's D = 64 stacks stay near 2 MB each
+BCH_BATCH = 32
+
+
 def _verify(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
     m = cfg.m
     coarse_dim = 3 * cfg.dim // 4
@@ -280,11 +285,20 @@ def _verify(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
         t = cfg.tolerance if cfg.tolerance is not None else default_tol
         return {key: dev, "tolerance": t, "passed": bool(dev < t), **extra}
 
+    seconds = {}
+
+    def timed(name: str, fn: Callable[[], object]):
+        started = time.perf_counter()
+        out = fn()
+        seconds[name] = round(time.perf_counter() - started, 6)
+        return out
+
     batch = _stack_points(points)
     conn = connection_closed(batch, m)
-    oracle = connection_numeric(batch, m, space, cfg.step)
+    oracle = timed("fine_oracle", lambda: connection_numeric(batch, m, space, cfg.step))
     # the oracle at 3D/4: how far truncation alone moves it (informational)
-    coarse = connection_numeric(batch, m, TruncatedSpace(coarse_dim), cfg.step)
+    coarse_space = TruncatedSpace(coarse_dim)
+    coarse = timed("coarse_oracle", lambda: connection_numeric(batch, m, coarse_space, cfg.step))
     max_abs = lambda x, y: float(np.abs(x - y).max())
     conn_dev = max(max_abs(conn.a_lambda, oracle.a[0]), max_abs(conn.a_mu, oracle.a[1]))
     trunc = max(map(max_abs, oracle.a, coarse.a))
@@ -329,18 +343,26 @@ def _verify(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
     bch_points = [p for p in points if abs(p.lam) <= 0.5 and abs(p.mu) <= 0.5] or [
         ParameterPoint(0.25 + 0.1j, 0.2 - 0.15j)
     ]
-    bch_dev = max(bch_identity_report(p.lam, p.mu, bch_space).interior_dev for p in bch_points)
+    bch_batches = [
+        _stack_points(bch_points[i : i + BCH_BATCH]) for i in range(0, len(bch_points), BCH_BATCH)
+    ]
+    bch = timed(
+        "bch", lambda: [bch_identity_report(b.lam, b.mu, bch_space) for b in bch_batches]
+    )
+    bch_dev = max(float(rep.interior_dev.max()) for rep in bch)
     sections["bch"] = section(
         "max_interior_dev", bch_dev, 1e-8, D=bch_space.dim, points=len(bch_points)
     )
 
     z_samples = (0.3 + 0.2j, 0.7 - 0.4j, 1.1 + 0.05j)
-    ident_dev = max(derivative_identity_report(z).interior_dev for z in z_samples)
+    reports = timed("identities", lambda: [derivative_identity_report(z) for z in z_samples])
+    ident_dev = max(rep.interior_dev for rep in reports)
     sections["derivative_identities"] = section("max_dev", ident_dev, 1e-8, points=len(z_samples))
     return {
         "config": {"m": m, "dim": cfg.dim, "step": cfg.step, "grid": cfg.grid or "small"},
         "sections": sections,
         "passed": all(sec["passed"] for sec in sections.values()),
+        "meta": {"section_seconds": seconds},
     }
 
 
@@ -415,7 +437,8 @@ def _chern(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
 
 class Command(NamedTuple):
     help: str
-    # (args, config) -> JSON payload, or CSV text when the format is csv
+    # (args, config) -> JSON payload, or CSV text when the format is csv; a
+    # payload's "meta" entry (run-dependent facts such as timings) goes to meta
     handler: Callable[[argparse.Namespace, argparse.Namespace], object]
     settings: Tuple[str, ...]  # the SETTINGS keys the handler reads
     flags: Tuple[Tuple[str, str, str], ...] = ()  # (flag, dest, help)
@@ -491,10 +514,12 @@ def run(args: argparse.Namespace) -> int:
     if as_csv:
         text = result
     else:
+        meta = result.pop("meta", {})
         doc = {
             "meta": {
                 "timestamp": datetime.datetime.now(datetime.timezone.utc).isoformat(),
                 "runtime_seconds": round(time.monotonic() - started, 6),
+                **meta,
             },
             "payload": {"version": __version__, **result},
         }

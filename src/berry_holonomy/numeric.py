@@ -3,22 +3,25 @@
 Everything here differentiates the vacuum frame V = U V0 directly (V0 the
 first m number states), with no knowledge of the closed-form scalar
 profiles; agreement between this module and the closed expressions is the
-library's primary self-check.  Frames come from the factor engine
-`fock.apply_factors`, so no unitary is ever formed.
+library's primary self-check.  Frames come from the factor helper
+`fock.factor`, so no unitary is ever formed.
 
 `connection_numeric` is the one oracle, for either family: it takes a
 point's (j, z) factors (see `family`), evaluates the frame and its
 Wirtinger legs d_z V, d_zbar V per factor once (`_frame_legs`), and returns
 from them the connection A_a = V+ d_a V per factor, its error estimate and
-the curvature.  The curvature needs first derivatives only: with
-P = V V+,
+the curvature.  The legs share work: the suffix products of the frame are
+formed once, each factor's four stencil points act on its suffix only, and
+the prefix, which does not depend on that factor's z, is applied to the
+two derivatives after the stencil.  The curvature needs first derivatives
+only: with P = V V+,
 
   F_ab = (d_abar V)+ (1 - P) d_b V - (d_bbar V)+ (1 - P) d_a V,
 
 which is dA + A ^ A after V+ V = 1 is used to trade the A ^ A term for
 the projector.  Like the closed forms, the oracle is array-valued: a
-ParameterPoint of arrays is a batch, each stencil frame is one engine call
-for all of it, and the matrices come back stacked with shape (..., m, m).
+ParameterPoint of arrays is a batch, and the matrices come back stacked
+with shape (..., m, m).
 
 Wirtinger convention: for f of one complex variable,
 
@@ -27,11 +30,12 @@ Wirtinger convention: for f of one complex variable,
 
 with d_x, d_y central differences of step h (`STEP` unless `--step` says
 otherwise).  `wirtinger_derivative` is the only such stencil in the package;
-`derivative_identity_report` (scalar identities) uses it too.
+it evaluates its function once, on the four stencil points stacked on a
+leading axis, and `derivative_identity_report` (scalar identities) uses it
+the same way.
 """
 from __future__ import annotations
 
-import cmath
 import math
 from typing import Callable, List, NamedTuple, Tuple
 
@@ -40,7 +44,7 @@ import numpy as np
 from .connection import tanhc
 from .curvature import CurvatureForm, leg_pairs
 from .family import Point
-from .fock import TruncatedSpace, apply_factors
+from .fock import TruncatedSpace, factor
 from .reports import IdentityReport
 
 
@@ -48,12 +52,20 @@ from .reports import IdentityReport
 STEP = 2e-5
 
 
+# the stencil points z0 + h * STENCIL: +x, -x, +y, -y
+STENCIL = np.array([1, -1, 1j, -1j])
+
+
 def wirtinger_derivative(
-    f: Callable[[complex], np.ndarray], z0: complex, h: float
+    f: Callable[[np.ndarray], np.ndarray], z0, h: float
 ) -> Tuple[np.ndarray, np.ndarray]:
-    """(d_z f, d_zbar f) at z0 for matrix- or scalar-valued f."""
-    fx = (f(z0 + h) - f(z0 - h)) / (2.0 * h)
-    fy = (f(z0 + 1j * h) - f(z0 - 1j * h)) / (2.0 * h)
+    """(d_z f, d_zbar f) at z0 (a scalar or an array) for matrix- or
+    scalar-valued f.  f is called once, on the four stencil points stacked
+    on a leading axis, and returns its values stacked the same way."""
+    z0 = np.asarray(z0)
+    fp = f(z0 + h * STENCIL.reshape((4,) + (1,) * z0.ndim))
+    fx = (fp[0] - fp[1]) / (2.0 * h)
+    fy = (fp[2] - fp[3]) / (2.0 * h)
     return 0.5 * (fx - 1j * fy), 0.5 * (fx + 1j * fy)
 
 
@@ -70,15 +82,35 @@ def _dagger(mat: np.ndarray) -> np.ndarray:
 def _frame_legs(
     factors: List[Tuple[int, complex]], m: int, space: TruncatedSpace, h: float
 ) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
-    """The frame V = prod_k exp((z_k (a+)^j_k - conj(z_k) a^j_k) / j_k) V0
-    for the (j, z) `factors`, and (d_z V, d_zbar V) for each factor's z;
-    array z give stacked frames, as in the engine."""
-    v0 = np.eye(space.dim)[:, :m]
+    """The frame V = F_0 ... F_{k-1} V0 with F_i = exp((z_i (a+)^j_i -
+    conj(z_i) a^j_i) / j_i) for the k (j, z) `factors`, and
+    (d_z V, d_zbar V) for each factor's z; array z give stacked frames, as
+    in `fock.apply_factors`.
+
+    The suffixes S_i = F_i ... F_{k-1} V0 (S_k = V0) are formed once.  Only
+    F_i depends on z_i, so d V = F_0 ... F_{i-1} d(F_i S_{i+1}): the stencil
+    of factor i acts on S_{i+1} alone, and the prefix, built from the base
+    factors, acts on the two derivatives only.  Arrays hold the levels
+    first, then the stencil points (or the pair d_z, d_zbar), the batch and
+    the m columns."""
+    D = space.dim
+    zs = np.broadcast_arrays(*(np.asarray(z, dtype=complex) for _, z in factors))
+    batch = zs[0].shape
+    zs = [z.reshape(-1) for z in zs]
+    base = [factor(j, z[np.newaxis], D) for (j, _), z in zip(factors, zs)]
+    suffix = [np.eye(D, m, dtype=complex)[:, np.newaxis, np.newaxis]]
+    for f in reversed(base):
+        suffix.append(f(suffix[-1]))
+    suffix.reverse()  # suffix[i] = S_i, suffix[0] = V
+    stacked = lambda y: np.ascontiguousarray(np.moveaxis(y, 0, -2)).reshape(batch + (D, m))
     legs = []
-    for k, (j, z0) in enumerate(factors):
-        frame = lambda z: apply_factors(factors[:k] + [(j, z)] + factors[k + 1 :], v0)
-        legs.append(wirtinger_derivative(frame, z0, h))
-    return apply_factors(factors, v0), legs
+    for i, ((j, _), z0) in enumerate(zip(factors, zs)):
+        points = lambda z: np.moveaxis(factor(j, z, D)(suffix[i + 1]), 1, 0)
+        d = np.stack(wirtinger_derivative(points, z0, h), axis=1)
+        for f in reversed(base[:i]):
+            d = f(d)
+        legs.append((stacked(d[:, 0]), stacked(d[:, 1])))
+    return stacked(suffix[0][:, 0]), legs
 
 
 def connection_numeric(p: Point, m: int, space: TruncatedSpace, h: float = STEP) -> OracleResult:
@@ -122,7 +154,7 @@ def derivative_identity_report(z: complex) -> IdentityReport:
     if abs(z) < 10.0 * h:
         raise ValueError("too close to removable singularity for this step")
 
-    def t_of(w: complex) -> complex:
+    def t_of(w: np.ndarray) -> np.ndarray:
         return w * tanhc(abs(w))
 
     wirt = lambda f, w: wirtinger_derivative(f, w, h)[0]
@@ -135,15 +167,15 @@ def derivative_identity_report(z: complex) -> IdentityReport:
     d1_ref = 0.5 * (1.0 - th * th + toverx)
     dev1 = abs(d1_num - d1_ref)
 
-    def logf(w: complex) -> complex:
+    def logf(w: np.ndarray) -> np.ndarray:
         tw = t_of(w)
-        return cmath.log(1.0 - tw * np.conj(tw))
+        return np.log(1.0 - tw * np.conj(tw))
 
     d2_num = wirt(logf, z)
     d2_ref = -np.conj(z) * toverx
     dev2 = abs(d2_num - d2_ref)
 
-    def tbar(w: complex) -> complex:
+    def tbar(w: np.ndarray) -> np.ndarray:
         return np.conj(t_of(w))
 
     d3_num = wirt(tbar, z)

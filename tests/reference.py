@@ -107,7 +107,8 @@ def curvature_from_components(
     `connection_numeric`.  The closed connection fed through here is a
     reference for `curvature_closed` that shares none of its scalar profiles.
     """
-    field = lambda q: np.stack(a_field(q))
+    # (A_lam, A_mu) behind the point's batch axes, so stencil points lead
+    field = lambda q: np.stack(a_field(q), axis=-3)
     a = list(a_field(p))
     k = len(a)
     legs = [wirtinger_derivative(_along(p, i, field), z, h) for i, z in enumerate((p.lam, p.mu))]

@@ -122,6 +122,22 @@ def test_verify_passes_and_is_deterministic(argv, trunc_bound, tmp_path):
     assert 0.0 < sections["curvature"]["max_truncation_error"] < trunc_bound[1]
 
 
+def test_verify_default_grid_accuracy_and_section_times(tmp_path):
+    """The oracle's agreement with the closed forms at m = 2 on the default
+    grid (2.28e-9 and 1.42e-8 measured) may lose at most 0.025 digits, half
+    the bound of the benchmark's digit metrics.  The seconds of each
+    section are reported under meta, never in the payload."""
+    code, doc = run(["verify", "--m", "2", "--grid", "default"], tmp_path)
+    assert code == 0
+    sections = doc["payload"]["sections"]
+    assert sections["connection"]["max_dev"] <= 2.4e-9
+    assert sections["curvature"]["max_dev"] <= 1.5e-8
+    seconds = doc["meta"]["section_seconds"]
+    assert set(seconds) == {"fine_oracle", "coarse_oracle", "bch", "identities"}
+    assert all(t >= 0.0 for t in seconds.values())
+    assert "meta" not in doc["payload"]
+
+
 def test_verify_breach_exit_code(tmp_path):
     # an absurd tolerance forces a breach without touching the math
     code, doc = run(["verify", "--m", "2", "--tolerance", "1e-30"], tmp_path)

@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from berry_holonomy import TruncatedSpace, bch_identity_report
+from berry_holonomy.cli import grid_points
 from berry_holonomy.fock import (
+    _generator_modes,
     _raising_exp,
     apply_factors,
     displacement_buffer,
@@ -143,6 +145,24 @@ def test_factor_engine_against_reference(space128):
             assert np.abs(got - ref).max() < 1e-13 * max(1.0, scale / 100.0), (z, j)
 
 
+@pytest.mark.parametrize("D", [31, 64])
+@pytest.mark.parametrize("j", [1, 2, 3])
+def test_generator_modes_real_eigenbasis(D, j):
+    """i G_j = (P Q) diag(w) (P Q)+ with Q real and P = diag(i^floor(n/j));
+    P Q is unitary and the spectrum is symmetric in +-.  All three hold to
+    about 4e-15 (relative to ||G_j|| for the first and last) at D <= 128."""
+    ops = make_operators(TruncatedSpace(D))
+    g = (np.linalg.matrix_power(ops["a_dag"], j) - np.linalg.matrix_power(ops["a"], j)) / j
+    w, q, p = _generator_modes(D, j)
+    assert np.isrealobj(q) and np.isrealobj(w)
+    assert np.array_equal(p, 1j ** (np.arange(D) // j))
+    v = p[:, np.newaxis] * q
+    scale = np.linalg.norm(g, 2)
+    assert np.abs((v * w) @ v.conj().T - 1j * g).max() < 1e-13 * scale
+    assert unitarity_defect(v) < 1e-13
+    assert np.abs(w + w[::-1]).max() < 1e-13 * scale
+
+
 @pytest.mark.parametrize("mu", [0.4 + 0.25j, np.array([0.4 + 0.25j, -0.3, 0.0])])
 def test_apply_factors_batch_equals_pointwise(mu):
     """z arrays broadcast to one batch shape S and give S + x.shape; a
@@ -205,3 +225,25 @@ def test_factorization_interior_small_at_both_sizes():
     rep64 = bch_identity_report(0.4, 0.3, TruncatedSpace(64))
     assert rep32.interior_dev < 1e-8
     assert rep64.interior_dev < 1e-8
+
+
+def test_factorization_batch_equals_pointwise(space64):
+    """One report over the factorization points of the default grid gives,
+    per point, the deviations and buffers of that point's own report."""
+    pts = [p for p in grid_points("default") if abs(p.lam) <= 0.5 and abs(p.mu) <= 0.5]
+    lam = np.array([p.lam for p in pts])
+    mu = np.array([p.mu for p in pts])
+    rep = bch_identity_report(lam, mu, space64)
+    assert rep.interior_dev.shape == rep.boundary_dev.shape == (len(pts),)
+    close = lambda got, want: abs(got - want) <= 1e-12 * want + 1e-15
+    for k, p in enumerate(pts):
+        one = bch_identity_report(p.lam, p.mu, space64)
+        assert isinstance(one.interior_dev, float)
+        assert close(rep.interior_dev[k], one.interior_dev)
+        assert close(rep.boundary_dev[k], one.boundary_dev)
+        for name, part in one.extras.items():
+            batch = rep.extras[name]
+            assert isinstance(part["buffer"], int)
+            assert batch["buffer"][k] == part["buffer"]
+            assert close(batch["interior_dev"][k], part["interior_dev"])
+            assert close(batch["boundary_dev"][k], part["boundary_dev"])
