@@ -30,7 +30,7 @@ from .family import (
     classifying_projector,
     vacuum_frame,
 )
-from .fock import TruncatedSpace, bch_identity_report
+from .fock import bch_identity_report
 from .holonomy import (
     LoopPath,
     holonomy_algebra_dimension,
@@ -49,4 +49,4 @@ from .numeric import (
     derivative_identity_report,
     wirtinger_derivative,
 )
-from .reports import IdentityReport, dump_json
+from .reports import dump_json

@@ -49,6 +49,7 @@ from .connection import connection_closed
 from .curvature import (
     COMPONENT_KEYS,
     COMPONENT_NAMES,
+    CurvatureForm,
     curvature_closed,
     curvature_span_dimension,
     f_squared,
@@ -56,7 +57,7 @@ from .curvature import (
     chern_trace_forms,
 )
 from .family import ParameterPoint
-from .fock import TruncatedSpace, bch_identity_report
+from .fock import bch_identity_report
 from .holonomy import (
     holonomy_algebra_dimension,
     lambda_circle,
@@ -64,7 +65,7 @@ from .holonomy import (
     polygon_loop,
 )
 from .lie import ClosureNotStabilized
-from .numeric import STEP, connection_numeric, derivative_identity_report
+from .numeric import STEP, OracleResult, connection_numeric, derivative_identity_report
 from .reports import RawJSON, dump_json, matrix_payload, render_points
 
 
@@ -216,6 +217,11 @@ def _stack_points(points: Sequence[ParameterPoint]) -> ParameterPoint:
     )
 
 
+def _batches(points: Sequence[ParameterPoint], size: int) -> List[ParameterPoint]:
+    """The points as consecutive batches of at most `size`."""
+    return [_stack_points(points[i : i + size]) for i in range(0, len(points), size)]
+
+
 def _sweep(
     fields: Callable[[ParameterPoint, int], List[Tuple[str, np.ndarray]]],
     args: argparse.Namespace,
@@ -245,16 +251,7 @@ def _sweep(
     batch = _stack_points(points)
     named = [("lambda", batch.lam), ("mu", batch.mu)] + fields(batch, cfg.m)
     text = render_points(named, cfg.format)
-    if cfg.format == "json":
-        return {"m": cfg.m, "points": RawJSON(text)}
-    cells = [f"[{i}][{j}]" for i in range(cfg.m) for j in range(cfg.m)]
-    headers = [
-        f"{name}{cell}.{part}"
-        for name, values in named
-        for cell in (cells if values.ndim == 3 else [""])
-        for part in ("re", "im")
-    ]
-    return ",".join(headers) + "\n" + text + "\n"
+    return {"m": cfg.m, "points": RawJSON(text)} if cfg.format == "json" else text
 
 
 def _connection_fields(p: ParameterPoint, m: int) -> List[Tuple[str, np.ndarray]]:
@@ -267,9 +264,24 @@ def _curvature_fields(p: ParameterPoint, m: int) -> List[Tuple[str, np.ndarray]]
     return [(COMPONENT_NAMES[k], form.components[k]) for k in COMPONENT_KEYS]
 
 
+# points per oracle call in `verify`: the default grid's 81 make one, and a
+# call at D = 128, m = 2 allocates about 12 MB at its peak
+ORACLE_BATCH = 128
+
 # points per factorization report in `verify`: the default grid's 25 make one,
 # and the report's D = 64 stacks stay near 2 MB each
 BCH_BATCH = 32
+
+
+def _oracle(batches: List[ParameterPoint], m: int, dim: int, h: float) -> OracleResult:
+    """`connection_numeric` over the batches, joined along the points."""
+    parts = [connection_numeric(b, m, dim, h) for b in batches]
+    join = lambda arrays: np.concatenate(list(arrays))
+    return OracleResult(
+        [join(a) for a in zip(*(r.a for r in parts))],
+        join(r.estimated_error for r in parts),
+        CurvatureForm({k: join(r.curvature.components[k] for r in parts) for k in COMPONENT_KEYS}),
+    )
 
 
 def _verify(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
@@ -278,7 +290,6 @@ def _verify(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
     if m >= coarse_dim:
         msg = "m must be smaller than the space dimension of the truncation oracle, 3*dim//4"
         raise ConfigError(f"{msg} = {coarse_dim}")
-    space = TruncatedSpace(cfg.dim)
     points = grid_points(cfg.grid or "small")
 
     def section(key: str, dev: float, default_tol: float, **extra) -> dict:
@@ -295,10 +306,10 @@ def _verify(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
 
     batch = _stack_points(points)
     conn = connection_closed(batch, m)
-    oracle = timed("fine_oracle", lambda: connection_numeric(batch, m, space, cfg.step))
+    oracle_batches = _batches(points, ORACLE_BATCH)
+    oracle = timed("fine_oracle", lambda: _oracle(oracle_batches, m, cfg.dim, cfg.step))
     # the oracle at 3D/4: how far truncation alone moves it (informational)
-    coarse_space = TruncatedSpace(coarse_dim)
-    coarse = timed("coarse_oracle", lambda: connection_numeric(batch, m, coarse_space, cfg.step))
+    coarse = timed("coarse_oracle", lambda: _oracle(oracle_batches, m, coarse_dim, cfg.step))
     max_abs = lambda x, y: float(np.abs(x - y).max())
     conn_dev = max(max_abs(conn.a_lambda, oracle.a[0]), max_abs(conn.a_mu, oracle.a[1]))
     trunc = max(map(max_abs, oracle.a, coarse.a))
@@ -339,24 +350,18 @@ def _verify(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
 
     # the factorization check at D = 64 takes the points with |lam|, |mu| <= 0.5,
     # or one fixed point when the grid holds none
-    bch_space = TruncatedSpace(64)
+    bch_dim = 64
     bch_points = [p for p in points if abs(p.lam) <= 0.5 and abs(p.mu) <= 0.5] or [
         ParameterPoint(0.25 + 0.1j, 0.2 - 0.15j)
     ]
-    bch_batches = [
-        _stack_points(bch_points[i : i + BCH_BATCH]) for i in range(0, len(bch_points), BCH_BATCH)
-    ]
-    bch = timed(
-        "bch", lambda: [bch_identity_report(b.lam, b.mu, bch_space) for b in bch_batches]
-    )
-    bch_dev = max(float(rep.interior_dev.max()) for rep in bch)
-    sections["bch"] = section(
-        "max_interior_dev", bch_dev, 1e-8, D=bch_space.dim, points=len(bch_points)
-    )
+    bch_batches = _batches(bch_points, BCH_BATCH)
+    bch = timed("bch", lambda: [bch_identity_report(b.lam, b.mu, bch_dim) for b in bch_batches])
+    bch_dev = max(float(part[0].max()) for rep in bch for part in rep.values())
+    sections["bch"] = section("max_interior_dev", bch_dev, 1e-8, D=bch_dim, points=len(bch_points))
 
     z_samples = (0.3 + 0.2j, 0.7 - 0.4j, 1.1 + 0.05j)
     reports = timed("identities", lambda: [derivative_identity_report(z) for z in z_samples])
-    ident_dev = max(rep.interior_dev for rep in reports)
+    ident_dev = max(max(devs) for devs in reports)
     sections["derivative_identities"] = section("max_dev", ident_dev, 1e-8, points=len(z_samples))
     return {
         "config": {"m": m, "dim": cfg.dim, "step": cfg.step, "grid": cfg.grid or "small"},

@@ -28,8 +28,7 @@ never divides 0/0.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, NamedTuple, Tuple
 
 import numpy as np
 
@@ -79,8 +78,7 @@ def csm1_over_x2(x):
     )
 
 
-@dataclass
-class ConnectionMatrices:
+class ConnectionMatrices(NamedTuple):
     a_lambda: np.ndarray
     a_mu: np.ndarray
 

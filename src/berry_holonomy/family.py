@@ -6,9 +6,10 @@ displacement by lam followed by the squeeze by mu, produces an isospectral
 family whose vacuum frame V = U V0 (V0 the first m coordinate columns)
 classifies the parameter point into the rank-m projectors via P = V V+.
 The full U is `fock.apply_factors(p.factors, identity)`; only the tests
-form it.  `vacuum_frame` and `classifying_projector` take a
-ParameterPoint of arrays as a batch and stack their matrices behind its
-shape, from one factor-engine call.
+form it.  `vacuum_frame` and `classifying_projector` take the truncation
+as the plain number of levels `dim`, and a ParameterPoint of arrays as a
+batch; they stack their matrices behind its shape, from one factor-engine
+call.
 
 A multi-parameter extension, GeneralizedPoint, replaces U by an ordered
 product of k exponentials exp{(lam_j (a+)^j - conj(lam_j) a^j)/j},
@@ -25,7 +26,7 @@ from typing import List, Tuple
 
 import numpy as np
 
-from .fock import TruncatedSpace, apply_factors
+from .fock import apply_factors
 
 
 @dataclass(frozen=True)
@@ -64,12 +65,13 @@ class GeneralizedPoint:
 Point = ParameterPoint | GeneralizedPoint
 
 
-def vacuum_frame(p: Point, m: int, space: TruncatedSpace) -> np.ndarray:
-    """First m columns of U(p); an orthonormal frame for the conjugated vacuum."""
-    return apply_factors(p.factors, np.eye(space.dim)[:, :m])
+def vacuum_frame(p: Point, m: int, dim: int) -> np.ndarray:
+    """First m columns of U(p) on `dim` levels; an orthonormal frame for the
+    conjugated vacuum."""
+    return apply_factors(p.factors, np.eye(dim)[:, :m])
 
 
-def classifying_projector(p: Point, m: int, space: TruncatedSpace) -> np.ndarray:
+def classifying_projector(p: Point, m: int, dim: int) -> np.ndarray:
     """P = V V+ for the vacuum frame V at p."""
-    v = vacuum_frame(p, m, space)
+    v = vacuum_frame(p, m, dim)
     return v @ np.swapaxes(v.conj(), -1, -2)

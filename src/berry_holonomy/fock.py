@@ -1,10 +1,11 @@
 """Truncated Fock-space operators and their unitary exponentials.
 
 Everything lives on the first D number levels as dense complex D x D
-matrices.  The annihilator acts as a|n> = sqrt(n)|n-1>, the two-photon
-generators are K+ = (a+)^2/2, K- = a^2/2, K3 = (a+ a + 1/2)/2, which close
-under commutation as [K3, K+-] = +-K+-, [K+, K-] = -2 K3.  Their matrices
-are never formed here; the tests build them (`tests/reference.py`) as the
+matrices; the truncation is that plain int, named D or `dim`.
+The annihilator acts as a|n> = sqrt(n)|n-1>, the two-photon generators are
+K+ = (a+)^2/2, K- = a^2/2, K3 = (a+ a + 1/2)/2, which close under
+commutation as [K3, K+-] = +-K+-, [K+, K-] = -2 K3.  Their matrices are
+never formed here; the tests build them (`tests/reference.py`) as the
 direct reference for the engine below.
 
 One factor helper, `factor`, builds every unitary of the package: the
@@ -23,34 +24,20 @@ points, for the two-parameter and the generalized family alike.
 Truncation corrupts only the top levels: commutation relations and the
 disentangling identities below hold exactly on an interior block whose
 depth depends on how far the displacement and squeeze mix levels downward
-from the cut.  `bch_identity_report` measures both the interior and the
-boundary deviation so the two effects are never conflated.  Its reference
-side needs no series: exp(c (a+)^j) has closed-form entries, built in
-O(D^2) by `_raising_exp` independently of the engine's eigen-solve.  The
-report takes arrays of points, as the rest of the package does, and cuts
-each point at its own buffers.
+from the cut.  `bch_identity_report` returns both the interior and the
+boundary deviation of each identity so the two effects are never
+conflated.  Its reference side needs no series: exp(c (a+)^j) has
+closed-form entries, built in O(D^2) by `_raising_exp` independently of
+the engine's eigen-solve.  The report takes arrays of points, as the rest
+of the package does, and cuts each point at its own buffers.
 """
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
-
-from .reports import IdentityReport
-
-
-@dataclass(frozen=True)
-class TruncatedSpace:
-    """The first `dim` Fock levels 0..dim-1."""
-
-    dim: int
-
-    def __post_init__(self):
-        if self.dim < 2:
-            raise ValueError("dimension too small")
 
 
 @functools.lru_cache(maxsize=None)
@@ -199,8 +186,8 @@ def _split_deviation(diff: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.nd
     return worst(np.where(inside, dev, 0.0)), worst(np.where(inside, 0.0, dev))
 
 
-def bch_identity_report(lam, mu, space: TruncatedSpace) -> IdentityReport:
-    """Check the two disentangling identities on the truncated space.
+def bch_identity_report(lam, mu, dim: int) -> Dict[str, Tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Check the two disentangling identities on the first `dim` levels.
 
     Displacement: exp(lam a+ - conj(lam) a) against
     e^{-|lam|^2/2} e^{lam a+} e^{-conj(lam) a}.
@@ -215,19 +202,18 @@ def bch_identity_report(lam, mu, space: TruncatedSpace) -> IdentityReport:
     operators, so the whole deviation on the interior block is attributable
     to the truncated left-hand exponential.
 
-    Array lam and mu are a batch: every deviation and buffer of the report
-    is then an array of their broadcast shape, each point cut at its own
-    buffers.  Scalars give floats and ints.
+    Returns {"displacement": (interior, boundary, buffer), "squeeze": ...}:
+    per point the largest deviation inside and outside the leading
+    (dim - buffer) block, and the buffer, each an array of the broadcast
+    shape of lam and mu, so every point is cut at its own buffers.
     """
-    D = space.dim
     lam, mu = np.broadcast_arrays(np.asarray(lam, dtype=complex), np.asarray(mu, dtype=complex))
     shape = lam.shape
     lam, mu = lam.reshape(-1), mu.reshape(-1)
-    unflat = lambda a: a.reshape(shape) if shape else a.item()
     x = np.abs(mu)
     zeta = np.divide(mu * np.tanh(x), x, out=np.zeros_like(mu), where=x > 0)
     # K3 is diagonal with entries (n + 1/2)/2
-    squeeze_diag = np.power((1.0 - np.abs(zeta) ** 2)[:, np.newaxis], 0.5 * (np.arange(D) + 0.5))
+    squeeze_diag = np.power((1.0 - np.abs(zeta) ** 2)[:, np.newaxis], 0.5 * (np.arange(dim) + 0.5))
     displacement_diag = np.exp(-0.5 * np.abs(lam) ** 2)[:, np.newaxis]
     identities = (
         ("displacement", 1, lam, lam, displacement_diag, displacement_buffer),
@@ -235,21 +221,13 @@ def bch_identity_report(lam, mu, space: TruncatedSpace) -> IdentityReport:
     )
     parts = {}
     for name, j, z, c, diag, buffer in identities:
-        b = np.array([buffer(v, D) for v in z])
-        lhs = apply_factors([(j, z)], np.eye(D))
+        b = np.array([buffer(v, dim) for v in z])
+        lhs = apply_factors([(j, z)], np.eye(dim))
         # R(-conj c) = S conj(R(c)) S with S = diag((-1)^floor(n/j)): entry
         # (k + jq, k) carries (-conj c)^q = (-1)^q conj(c^q), and S S
         # gives it the sign (-1)^q, so one R serves both sides
-        r = _raising_exp(c, j, D)
-        sign = (-1.0) ** (np.arange(D) // j)
+        r = _raising_exp(c, j, dim)
+        sign = (-1.0) ** (np.arange(dim) // j)
         rhs = ((r * (diag * sign)[:, np.newaxis, :]) @ np.swapaxes(r.conj(), -1, -2)) * sign
-        parts[name] = (*_split_deviation(lhs - rhs, b), b)
-    interior, boundary = (np.maximum(*(part[i] for part in parts.values())) for i in (0, 1))
-    return IdentityReport(
-        interior_dev=unflat(interior),
-        boundary_dev=unflat(boundary),
-        extras={
-            name: {"interior_dev": unflat(i), "boundary_dev": unflat(o), "buffer": unflat(b)}
-            for name, (i, o, b) in parts.items()
-        },
-    )
+        parts[name] = tuple(a.reshape(shape) for a in (*_split_deviation(lhs - rhs, b), b))
+    return parts

@@ -7,7 +7,8 @@ library's primary self-check.  Frames come from the factor helper
 `fock.factor`, so no unitary is ever formed.
 
 `connection_numeric` is the one oracle, for either family: it takes a
-point's (j, z) factors (see `family`), evaluates the frame and its
+point, whose (j, z) factors it reads (see `family`), and the truncation as
+the plain number of Fock levels `dim`; it evaluates the frame and its
 Wirtinger legs d_z V, d_zbar V per factor once (`_frame_legs`), and returns
 from them the connection A_a = V+ d_a V per factor, its error estimate and
 the curvature.  The legs share work: the suffix products of the frame are
@@ -31,8 +32,8 @@ Wirtinger convention: for f of one complex variable,
 with d_x, d_y central differences of step h (`STEP` unless `--step` says
 otherwise).  `wirtinger_derivative` is the only such stencil in the package;
 it evaluates its function once, on the four stencil points stacked on a
-leading axis, and `derivative_identity_report` (scalar identities) uses it
-the same way.
+leading axis, and `derivative_identity_report` (scalar identities, its
+three deviations returned as a tuple) uses it the same way.
 """
 from __future__ import annotations
 
@@ -44,8 +45,7 @@ import numpy as np
 from .connection import tanhc
 from .curvature import CurvatureForm, leg_pairs
 from .family import Point
-from .fock import TruncatedSpace, factor
-from .reports import IdentityReport
+from .fock import factor
 
 
 # also `--step`'s default; at 1e-4 the O(h^2) error breaks the m = 4 wedge gate
@@ -80,7 +80,7 @@ def _dagger(mat: np.ndarray) -> np.ndarray:
 
 
 def _frame_legs(
-    factors: List[Tuple[int, complex]], m: int, space: TruncatedSpace, h: float
+    factors: List[Tuple[int, complex]], m: int, dim: int, h: float
 ) -> Tuple[np.ndarray, List[Tuple[np.ndarray, np.ndarray]]]:
     """The frame V = F_0 ... F_{k-1} V0 with F_i = exp((z_i (a+)^j_i -
     conj(z_i) a^j_i) / j_i) for the k (j, z) `factors`, and
@@ -93,19 +93,18 @@ def _frame_legs(
     factors, acts on the two derivatives only.  Arrays hold the levels
     first, then the stencil points (or the pair d_z, d_zbar), the batch and
     the m columns."""
-    D = space.dim
     zs = np.broadcast_arrays(*(np.asarray(z, dtype=complex) for _, z in factors))
     batch = zs[0].shape
     zs = [z.reshape(-1) for z in zs]
-    base = [factor(j, z[np.newaxis], D) for (j, _), z in zip(factors, zs)]
-    suffix = [np.eye(D, m, dtype=complex)[:, np.newaxis, np.newaxis]]
+    base = [factor(j, z[np.newaxis], dim) for (j, _), z in zip(factors, zs)]
+    suffix = [np.eye(dim, m, dtype=complex)[:, np.newaxis, np.newaxis]]
     for f in reversed(base):
         suffix.append(f(suffix[-1]))
     suffix.reverse()  # suffix[i] = S_i, suffix[0] = V
-    stacked = lambda y: np.ascontiguousarray(np.moveaxis(y, 0, -2)).reshape(batch + (D, m))
+    stacked = lambda y: np.ascontiguousarray(np.moveaxis(y, 0, -2)).reshape(batch + (dim, m))
     legs = []
     for i, ((j, _), z0) in enumerate(zip(factors, zs)):
-        points = lambda z: np.moveaxis(factor(j, z, D)(suffix[i + 1]), 1, 0)
+        points = lambda z: np.moveaxis(factor(j, z, dim)(suffix[i + 1]), 1, 0)
         d = np.stack(wirtinger_derivative(points, z0, h), axis=1)
         for f in reversed(base[:i]):
             d = f(d)
@@ -113,7 +112,7 @@ def _frame_legs(
     return stacked(suffix[0][:, 0]), legs
 
 
-def connection_numeric(p: Point, m: int, space: TruncatedSpace, h: float = STEP) -> OracleResult:
+def connection_numeric(p: Point, m: int, dim: int, h: float = STEP) -> OracleResult:
     """Per factor the connection A = V+ d_z V; per point `estimated_error`,
     the worst defect of the conjugate legs against the negated adjoints; and
     the curvature F_ab (see the module note) for each pair a < b of the legs
@@ -121,9 +120,9 @@ def connection_numeric(p: Point, m: int, space: TruncatedSpace, h: float = STEP)
     for a ParameterPoint are `curvature.COMPONENT_KEYS` in order."""
     if m < 1:
         raise ValueError("m must be positive")
-    if m >= space.dim:
+    if m >= dim:
         raise ValueError("m must be smaller than the space dimension")
-    v, legs = _frame_legs(p.factors, m, space, h)
+    v, legs = _frame_legs(p.factors, m, dim, h)
     k = len(legs)
     d = [d_z for d_z, _ in legs] + [d_zb for _, d_zb in legs]
     d_conj = d[k:] + d[:k]
@@ -139,7 +138,7 @@ def connection_numeric(p: Point, m: int, space: TruncatedSpace, h: float = STEP)
     return OracleResult(a[:k], err, CurvatureForm(comp))
 
 
-def derivative_identity_report(z: complex) -> IdentityReport:
+def derivative_identity_report(z: complex) -> Tuple[float, float, float]:
     """Finite-difference check of three Wirtinger-derivative identities of
     the scalar profile t(z) = z tanh|z| / |z|:
 
@@ -148,7 +147,7 @@ def derivative_identity_report(z: complex) -> IdentityReport:
       d_z conj(t)     = (conj(z)^2 / (2|z|^2)) (1 - tanh^2|z| - tanh|z|/|z|)
 
     Central differences of step 1e-5 in the real and imaginary directions
-    build d_z; the reported deviations are absolute.
+    build d_z; the three absolute deviations come back in this order.
     """
     h = 1e-5
     if abs(z) < 10.0 * h:
@@ -182,16 +181,4 @@ def derivative_identity_report(z: complex) -> IdentityReport:
     d3_ref = (np.conj(z) ** 2 / (2.0 * x * x)) * (1.0 - th * th - toverx)
     dev3 = abs(d3_num - d3_ref)
 
-    worst = max(dev1, dev2, dev3)
-    return IdentityReport(
-        interior_dev=worst,
-        boundary_dev=worst,
-        extras={
-            "z": [z.real, z.imag],
-            "h": h,
-            "identity_1_dev": dev1,
-            "identity_2_dev": dev2,
-            "identity_3_dev": dev3,
-            "identity_2_rhs": [d2_ref.real, d2_ref.imag],
-        },
-    )
+    return dev1, dev2, dev3

@@ -1,4 +1,4 @@
-"""The identity-check report, deterministic JSON helpers and sweep text.
+"""Deterministic JSON helpers and sweep text.
 
 Every report that crosses the CLI boundary serializes complex numbers as
 two-element [re, im] arrays and matrices as row-major nested lists, so the
@@ -7,7 +7,6 @@ output is plain JSON with no custom decoder needed on the other side.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Any, List, Tuple
 
 import numpy as np
@@ -66,10 +65,12 @@ def _nested(cells: List[str], shape: Tuple[int, ...]) -> str:
 
 def render_points(named: List[Tuple[str, np.ndarray]], fmt: str) -> str:
     """The points of a sweep as text.  `named` holds (name, complex stack)
-    pairs, points on the first axis.  `fmt` "csv" gives one row per point
-    joined by newlines, no header: each stack row-major, each value as re,
-    im, in the order of `named`.  "json" gives the list of point objects,
-    byte for byte as `dump_json` writes `matrix_payload` entries.
+    pairs, points on the first axis.  `fmt` "csv" gives the CSV file: a
+    header line, then one line per point, each stack row-major, each value
+    as re, im, in the order of `named`; the header names a value
+    `name[i][j].re` (`name.re` for a stack of scalars).  "json" gives the
+    list of point objects, byte for byte as `dump_json` writes
+    `matrix_payload` entries.
 
     Both come from one real `(points, columns)` table, checked for NaN and
     infinities once, and one `%r` row template in which a column that holds
@@ -88,7 +89,14 @@ def render_points(named: List[Tuple[str, np.ndarray]], fmt: str) -> str:
     cells = ["%r" if v else repr(x) for v, x in zip(varies.tolist(), table[0].tolist())]
     values = tuple(table[:, varies].ravel().tolist())
     if fmt == "csv":
-        return "\n".join([",".join(cells)] * n) % values
+        header = [
+            name + "".join(f"[{i}]" for i in index) + part
+            for name, stack in named
+            for index in np.ndindex(stack.shape[1:])
+            for part in (".re", ".im")
+        ]
+        rows = "\n".join([",".join(cells)] * n) % values
+        return ",".join(header) + "\n" + rows + "\n"
     fields, at = [], 0
     for name, stack in named:
         shape = stack.shape[1:] + (2,)
@@ -96,13 +104,3 @@ def render_points(named: List[Tuple[str, np.ndarray]], fmt: str) -> str:
         fields.append(f"{json.dumps(name)}:{_nested(cells[at : at + width], shape)}")
         at += width
     return ("[" + ",".join(["{" + ",".join(fields) + "}"] * n) + "]") % values
-
-
-@dataclass
-class IdentityReport:
-    """Outcome of an identity check split into a trusted interior block and
-    the truncation-polluted boundary."""
-
-    interior_dev: float
-    boundary_dev: float
-    extras: dict = field(default_factory=dict)

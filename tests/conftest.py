@@ -2,8 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from berry_holonomy import TruncatedSpace
-
 settings.register_profile(
     "suite",
     max_examples=25,
@@ -20,15 +18,15 @@ def unitarity_defect(u: np.ndarray) -> float:
 
 
 @pytest.fixture(scope="session")
-def space64():
-    return TruncatedSpace(64)
+def dim64():
+    return 64
 
 
 @pytest.fixture(scope="session")
-def space96():
-    return TruncatedSpace(96)
+def dim96():
+    return 96
 
 
 @pytest.fixture(scope="session")
-def space128():
-    return TruncatedSpace(128)
+def dim128():
+    return 128

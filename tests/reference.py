@@ -17,16 +17,14 @@ import numpy as np
 
 from berry_holonomy.curvature import CurvatureForm, curvature_closed, leg_pairs
 from berry_holonomy.family import ParameterPoint, classifying_projector, vacuum_frame
-from berry_holonomy.fock import TruncatedSpace, apply_factors
+from berry_holonomy.fock import apply_factors
 from berry_holonomy.lie import CLOSURE_ROUNDS, RANK_RTOL, ClosureNotStabilized
 from berry_holonomy.numeric import STEP, _dagger, wirtinger_derivative
-from berry_holonomy.reports import IdentityReport
 
 
-def make_operators(space: TruncatedSpace) -> Dict[str, np.ndarray]:
-    """Ladder and two-photon generators on the truncated space, keyed
+def make_operators(D: int) -> Dict[str, np.ndarray]:
+    """Ladder and two-photon generators on the first D levels, keyed
     a, a_dag, N, K_plus, K_minus, K_3."""
-    D = space.dim
     a = np.zeros((D, D), dtype=complex)
     for n in range(1, D):
         a[n - 1, n] = math.sqrt(n)
@@ -52,20 +50,20 @@ def exp_antihermitian(g: np.ndarray) -> np.ndarray:
     return (V * np.exp(-1j * w)) @ V.conj().T
 
 
-def hamiltonian_h0(m: int, space: TruncatedSpace) -> np.ndarray:
+def hamiltonian_h0(m: int, dim: int) -> np.ndarray:
     """Diagonal n(n-1)...(n-m+1); the first m entries vanish identically."""
     if m < 1:
         raise ValueError("m must be positive")
-    if m >= space.dim:
+    if m >= dim:
         raise ValueError("m must be smaller than the space dimension")
-    n = np.arange(space.dim, dtype=float)
-    diag = np.ones(space.dim)
+    n = np.arange(dim, dtype=float)
+    diag = np.ones(dim)
     for k in range(m):
         diag = diag * (n - k)
     return np.diag(diag).astype(complex)
 
 
-def isospectral_check(p: ParameterPoint, m: int, space: TruncatedSpace) -> Tuple[float, int]:
+def isospectral_check(p: ParameterPoint, m: int, D: int) -> Tuple[float, int]:
     """(max_dev, kernel_dim): the lower half of the spectrum of U H0 U+
     against H0, and the size of the near-kernel.
 
@@ -73,8 +71,7 @@ def isospectral_check(p: ParameterPoint, m: int, space: TruncatedSpace) -> Tuple
     `max_dev` over the lowest D // 2 eigenvalues (always that many) isolates
     eigen-solver noise; the near-kernel must be at least m-dimensional.
     """
-    D = space.dim
-    h0 = hamiltonian_h0(m, space)
+    h0 = hamiltonian_h0(m, D)
     u = apply_factors(p.factors, np.eye(D))
     h = u @ h0 @ u.conj().T
     h = 0.5 * (h + h.conj().T)
@@ -125,19 +122,19 @@ def curvature_from_components(
 
 
 def global_form_check(
-    p: ParameterPoint, m: int, space: TruncatedSpace, h: float = STEP
-) -> IdentityReport:
+    p: ParameterPoint, m: int, dim: int, h: float = STEP
+) -> Dict[str, Tuple[float, float]]:
     """The curvature of the projector against the frame-coordinate components.
 
     For P = V V+ the gauge-invariant two-form P dP ^ dP, pushed to the
     frame block as V+ (.) V, must reproduce the closed components; the
-    lam-lamb and mu-mub wedges are compared.  `interior_dev` is the
-    frame-block deviation, `boundary_dev` the full-matrix one (the latter
-    includes the orthogonal-complement block, which the frame form does not
+    lam-lamb and mu-mub wedges are compared.  Each key ("llb", "mmb") gets
+    the frame-block deviation and the full-matrix one (the latter includes
+    the orthogonal-complement block, which the frame form does not
     constrain, so it is reported but not expected to be small).
     """
-    proj_at = lambda q: classifying_projector(q, m, space)
-    v = vacuum_frame(p, m, space)
+    proj_at = lambda q: classifying_projector(q, m, dim)
+    v = vacuum_frame(p, m, dim)
     proj = v @ v.conj().T
     form = curvature_closed(p, m)
 
@@ -150,12 +147,7 @@ def global_form_check(
         rhs = v @ form.components[key] @ v.conj().T
         frame_dev = float(np.abs(v.conj().T @ (lhs - rhs) @ v).max())
         devs[key] = (frame_dev, float(np.abs(lhs - rhs).max()))
-
-    return IdentityReport(
-        interior_dev=max(d[0] for d in devs.values()),
-        boundary_dev=max(d[1] for d in devs.values()),
-        extras={f"{key}_frame_dev": d[0] for key, d in devs.items()},
-    )
+    return devs
 
 
 # -- the pair-loop Lie closure: one commutator and one row per Python step --

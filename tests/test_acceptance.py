@@ -17,7 +17,6 @@ from berry_holonomy import (
     COMPONENT_KEYS,
     GeneralizedPoint,
     ParameterPoint,
-    TruncatedSpace,
     bch_identity_report,
     connection_closed,
     connection_numeric,
@@ -56,7 +55,7 @@ def _line(num: int, ok: bool, detail: str) -> None:
     print(f"[criterion {num:02d}] {'PASS' if ok else 'FAIL'} - {detail}")
 
 
-SPACE128 = TruncatedSpace(128)
+DIM = 128
 H = 1e-4
 
 
@@ -66,7 +65,7 @@ def test_criterion_01_connection_against_oracle():
     for m in (2, 3, 4):
         for p in GRID:
             closed = connection_closed(p, m)
-            oracle = connection_numeric(p, m, SPACE128, H)
+            oracle = connection_numeric(p, m, DIM, H)
             worst = max(
                 worst,
                 float(np.abs(closed.a_lambda - oracle.a[0]).max()),
@@ -91,7 +90,7 @@ def test_criterion_02_curvature_against_oracle():
         for p in GRID:
             closed = curvature_closed(p, m)
             assert np.abs(closed.components["llb"] - neg_mk).max() == 0.0
-            oracle = connection_numeric(p, m, SPACE128, H).curvature
+            oracle = connection_numeric(p, m, DIM, H).curvature
             for k in COMPONENT_KEYS:
                 worst[k] = max(
                     worst[k],
@@ -110,7 +109,7 @@ def test_criterion_03_wedge_square_three_way():
     for m in (2, 3):
         for p in WEDGE_POINTS:
             w_closed = f_squared_from_wedge(curvature_closed(p, m))
-            w_oracle = f_squared_from_wedge(connection_numeric(p, m, SPACE128, H).curvature)
+            w_oracle = f_squared_from_wedge(connection_numeric(p, m, DIM, H).curvature)
             gate = max(gate, float(np.abs(w_closed - w_oracle).max()))
             formula = max(formula, float(np.abs(w_closed - f_squared(p.mu, m)).max()))
     ok = gate < 1e-5
@@ -152,9 +151,12 @@ def test_criterion_04_dimension_methods():
 
 
 def test_criterion_05_factorization_identities():
-    space = TruncatedSpace(64)
     pts = [p for p in GRID if abs(p.lam) <= 0.5 and abs(p.mu) <= 0.5]
-    worst = max(bch_identity_report(p.lam, p.mu, space).interior_dev for p in pts)
+    worst = max(
+        float(interior)
+        for p in pts
+        for interior, _, _ in bch_identity_report(p.lam, p.mu, 64).values()
+    )
     ok = worst < 1e-8
     _line(
         5,
@@ -166,8 +168,7 @@ def test_criterion_05_factorization_identities():
 
 
 def test_criterion_06_commutators_exact():
-    space = TruncatedSpace(64)
-    ops = make_operators(space)
+    ops = make_operators(64)
     a, ad = ops["a"], ops["a_dag"]
     kp, km, k3, num = ops["K_plus"], ops["K_minus"], ops["K_3"], ops["N"]
     comm = lambda x, y: x @ y - y @ x
@@ -220,12 +221,11 @@ def test_criterion_08_residual_halving():
 
 
 def test_criterion_09_generalized_reduction():
-    space = TruncatedSpace(64)
     lam = 0.3 + 0.2j
     mu0 = 0.175 - 0.05j
     lam2 = 2.0 * mu0
-    gen = connection_numeric(GeneralizedPoint((lam, lam2, 0.0)), 3, space)
-    two = connection_numeric(ParameterPoint(lam, lam2), 3, space)
+    gen = connection_numeric(GeneralizedPoint((lam, lam2, 0.0)), 3, 64)
+    two = connection_numeric(ParameterPoint(lam, lam2), 3, 64)
     reduction = max(
         float(np.abs(gen.a[0] - two.a[0]).max()),
         float(np.abs(gen.a[1] - two.a[1]).max()),

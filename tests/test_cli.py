@@ -138,6 +138,16 @@ def test_verify_default_grid_accuracy_and_section_times(tmp_path):
     assert "meta" not in doc["payload"]
 
 
+def test_verify_oracle_batches_join_to_one_call(monkeypatch, tmp_path):
+    """The default grid's 81 points in oracle batches of 7 (the last one
+    short) give the payload of the single call, byte for byte."""
+    argv = ["verify", "--m", "2", "--grid", "default"]
+    _, whole = run(argv, tmp_path, "whole.json")
+    monkeypatch.setattr("berry_holonomy.cli.ORACLE_BATCH", 7)
+    _, split = run(argv, tmp_path, "split.json")
+    assert dump_json(split["payload"]) == dump_json(whole["payload"])
+
+
 def test_verify_breach_exit_code(tmp_path):
     # an absurd tolerance forces a breach without touching the math
     code, doc = run(["verify", "--m", "2", "--tolerance", "1e-30"], tmp_path)
@@ -191,6 +201,9 @@ def test_bad_config_exit_codes(tmp_path, capsys):
         err = capsys.readouterr().err
         assert "m must be smaller than the space dimension" in err
         assert "truncation oracle, 3*dim//4 = " in err
+    # fewer than two levels is rejected with the settings, for any m
+    assert main(["verify", "--dim", "1"]) == 2
+    assert "dim must be at least 2" in capsys.readouterr().err
     step_file = tmp_path / "step.cfg"
     step_file.write_text("step = 1\n")
     for argv in (

@@ -149,18 +149,14 @@ def test_berry_phase_circle():
     st.complex_numbers(min_magnitude=0.2, max_magnitude=1.5, allow_nan=False, allow_infinity=False)
 )
 def test_derivative_identities(z):
-    rep = derivative_identity_report(z)
-    assert rep.interior_dev < 1e-8
+    assert max(derivative_identity_report(z)) < 1e-8
 
 
 def test_derivative_identity_report_extras():
-    rep = derivative_identity_report(0.7 - 0.4j)
-    for key in ("identity_1_dev", "identity_2_dev", "identity_3_dev"):
-        assert rep.extras[key] < 1e-8
-    rhs = rep.extras["identity_2_rhs"]
-    z = 0.7 - 0.4j
-    expect = -np.conj(z) * math.tanh(abs(z)) / abs(z)
-    assert abs(complex(rhs[0], rhs[1]) - expect) < 1e-12
+    devs = derivative_identity_report(0.7 - 0.4j)
+    assert len(devs) == 3
+    for dev in devs:
+        assert dev < 1e-8
 
 
 def test_derivative_identity_near_origin_rejected():

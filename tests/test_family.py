@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 from berry_holonomy import (
     GeneralizedPoint,
     ParameterPoint,
-    TruncatedSpace,
     classifying_projector,
     vacuum_frame,
 )
@@ -18,8 +17,8 @@ amplitudes = st.complex_numbers(
 )
 
 
-def test_h0_diagonal(space64):
-    h = hamiltonian_h0(3, space64)
+def test_h0_diagonal(dim64):
+    h = hamiltonian_h0(3, dim64)
     diag = np.diag(h).real
     assert np.abs(diag[:3]).max() == 0.0
     assert diag[3] == pytest.approx(3 * 2 * 1)
@@ -27,11 +26,11 @@ def test_h0_diagonal(space64):
     assert np.count_nonzero(h - np.diag(np.diag(h))) == 0
 
 
-def test_h0_argument_errors(space64):
+def test_h0_argument_errors(dim64):
     with pytest.raises(ValueError):
-        hamiltonian_h0(0, space64)
+        hamiltonian_h0(0, dim64)
     with pytest.raises(ValueError):
-        hamiltonian_h0(64, space64)
+        hamiltonian_h0(64, dim64)
 
 
 @given(amplitudes, amplitudes)
@@ -42,20 +41,19 @@ def test_two_parameter_product_is_unitary(lam, mu):
 
 @given(amplitudes, amplitudes)
 def test_vacuum_frame_orthonormal(lam, mu):
-    space = TruncatedSpace(32)
-    v = vacuum_frame(ParameterPoint(lam, mu), 3, space)
+    v = vacuum_frame(ParameterPoint(lam, mu), 3, 32)
     assert np.abs(v.conj().T @ v - np.eye(3)).max() < 1e-12
 
 
-def test_projector_properties(space64):
-    p = classifying_projector(ParameterPoint(0.4 + 0.1j, 0.3 - 0.2j), 3, space64)
+def test_projector_properties(dim64):
+    p = classifying_projector(ParameterPoint(0.4 + 0.1j, 0.3 - 0.2j), 3, dim64)
     assert np.abs(p - p.conj().T).max() < 1e-12
     assert np.abs(p @ p - p).max() < 1e-12
     assert np.trace(p).real == pytest.approx(3.0, abs=1e-10)
 
 
-def test_isospectral_lower_half(space64):
-    max_dev, kernel_dim = isospectral_check(ParameterPoint(0.4 + 0.1j, 0.3 - 0.2j), 3, space64)
+def test_isospectral_lower_half(dim64):
+    max_dev, kernel_dim = isospectral_check(ParameterPoint(0.4 + 0.1j, 0.3 - 0.2j), 3, dim64)
     assert max_dev < 1e-8
     assert kernel_dim >= 3
 

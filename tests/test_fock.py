@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from berry_holonomy import TruncatedSpace, bch_identity_report
+from berry_holonomy import bch_identity_report
 from berry_holonomy.cli import grid_points
 from berry_holonomy.fock import (
     _generator_modes,
@@ -22,13 +22,8 @@ amplitudes = st.complex_numbers(
 )
 
 
-def test_space_too_small():
-    with pytest.raises(ValueError):
-        TruncatedSpace(1)
-
-
-def test_ladder_matrix_elements(space64):
-    ops = make_operators(space64)
+def test_ladder_matrix_elements(dim64):
+    ops = make_operators(dim64)
     a = ops["a"]
     for n in range(1, 64):
         assert a[n - 1, n] == pytest.approx(math.sqrt(n))
@@ -36,9 +31,9 @@ def test_ladder_matrix_elements(space64):
     assert np.abs(ops["a_dag"] - a.conj().T).max() == 0.0
 
 
-def test_commutators_interior(space64):
+def test_commutators_interior(dim64):
     """su(1,1) relations and [N, a] = -a hold exactly away from the edge."""
-    ops = make_operators(space64)
+    ops = make_operators(dim64)
     a, ad = ops["a"], ops["a_dag"]
     kp, km, k3, num = ops["K_plus"], ops["K_minus"], ops["K_3"], ops["N"]
     comm = lambda x, y: x @ y - y @ x
@@ -51,8 +46,8 @@ def test_commutators_interior(space64):
     assert np.abs((comm(km, kp) - 2 * k3)[interior, interior]).max() < 1e-12
 
 
-def test_k3_diagonal(space64):
-    ops = make_operators(space64)
+def test_k3_diagonal(dim64):
+    ops = make_operators(dim64)
     diag = np.diag(ops["K_3"]).real
     assert diag[0] == pytest.approx(0.25)
     assert diag[5] == pytest.approx(0.5 * (5 + 0.5))
@@ -60,20 +55,19 @@ def test_k3_diagonal(space64):
 
 @given(amplitudes)
 def test_exp_antihermitian_is_unitary(z):
-    space = TruncatedSpace(24)
-    ops = make_operators(space)
+    ops = make_operators(24)
     g = z * ops["a_dag"] - np.conj(z) * ops["a"]
     u = exp_antihermitian(g)
     assert unitarity_defect(u) < 1e-12
 
 
-def test_exp_antihermitian_rejects_hermitian_part(space64):
+def test_exp_antihermitian_rejects_hermitian_part(dim64):
     g = np.eye(64, dtype=complex)
     with pytest.raises(ValueError):
         exp_antihermitian(g)
 
 
-def test_exp_of_zero_is_identity(space64):
+def test_exp_of_zero_is_identity(dim64):
     u = exp_antihermitian(np.zeros((64, 64), dtype=complex))
     assert np.abs(u - np.eye(64)).max() < 1e-14
 
@@ -128,13 +122,13 @@ def test_zero_arguments_give_identity():
     assert np.abs(apply_factors([(2, 0.0)], eye) - eye).max() < 1e-14
 
 
-def test_factor_engine_against_reference(space128):
+def test_factor_engine_against_reference(dim128):
     """Every factor exp((z (a+)^j - conj(z) a^j)/j) against a direct eigen-solve.
 
     Both routes round to about eps |z| ||G_j||, and ||G_3|| is about 800 at
     D = 128, so the 1e-13 bound widens once |z| ||G_j|| passes 100.
     """
-    ops = make_operators(space128)
+    ops = make_operators(dim128)
     a, ad = ops["a"], ops["a_dag"]
     for z in (0.3 + 0.2j, -0.7 + 0.1j, 1.0j, 0.5):
         for j in (1, 2, 3):
@@ -151,7 +145,7 @@ def test_generator_modes_real_eigenbasis(D, j):
     """i G_j = (P Q) diag(w) (P Q)+ with Q real and P = diag(i^floor(n/j));
     P Q is unitary and the spectrum is symmetric in +-.  All three hold to
     about 4e-15 (relative to ||G_j|| for the first and last) at D <= 128."""
-    ops = make_operators(TruncatedSpace(D))
+    ops = make_operators(D)
     g = (np.linalg.matrix_power(ops["a_dag"], j) - np.linalg.matrix_power(ops["a"], j)) / j
     w, q, p = _generator_modes(D, j)
     assert np.isrealobj(q) and np.isrealobj(w)
@@ -209,41 +203,46 @@ def test_buffers_bracketed():
         assert 4 <= squeeze_buffer(z, 64) <= 60
 
 
-def test_factorization_report_structure(space64):
-    rep = bch_identity_report(0.3 + 0.2j, 0.25 - 0.1j, space64)
-    assert rep.interior_dev < 1e-8
-    assert rep.boundary_dev > rep.interior_dev
-    assert set(rep.extras) == {"displacement", "squeeze"}
-    for part in rep.extras.values():
-        assert part["interior_dev"] < 1e-8
+def _worst(rep, i: int) -> float:
+    """The largest interior (i = 0) or boundary (i = 1) deviation of a
+    report over both identities and all its points."""
+    return max(float(part[i].max()) for part in rep.values())
+
+
+def test_factorization_report_structure(dim64):
+    rep = bch_identity_report(0.3 + 0.2j, 0.25 - 0.1j, dim64)
+    assert _worst(rep, 0) < 1e-8
+    assert _worst(rep, 1) > _worst(rep, 0)
+    assert set(rep) == {"displacement", "squeeze"}
+    for interior, _, _ in rep.values():
+        assert interior < 1e-8
 
 
 def test_factorization_interior_small_at_both_sizes():
     # the interior window widens with D (the buffer is relative), so the
     # deviations are not comparable across sizes; both must simply be tiny
-    rep32 = bch_identity_report(0.4, 0.3, TruncatedSpace(32))
-    rep64 = bch_identity_report(0.4, 0.3, TruncatedSpace(64))
-    assert rep32.interior_dev < 1e-8
-    assert rep64.interior_dev < 1e-8
+    rep32 = bch_identity_report(0.4, 0.3, 32)
+    rep64 = bch_identity_report(0.4, 0.3, 64)
+    assert _worst(rep32, 0) < 1e-8
+    assert _worst(rep64, 0) < 1e-8
 
 
-def test_factorization_batch_equals_pointwise(space64):
+def test_factorization_batch_equals_pointwise(dim64):
     """One report over the factorization points of the default grid gives,
     per point, the deviations and buffers of that point's own report."""
     pts = [p for p in grid_points("default") if abs(p.lam) <= 0.5 and abs(p.mu) <= 0.5]
     lam = np.array([p.lam for p in pts])
     mu = np.array([p.mu for p in pts])
-    rep = bch_identity_report(lam, mu, space64)
-    assert rep.interior_dev.shape == rep.boundary_dev.shape == (len(pts),)
+    rep = bch_identity_report(lam, mu, dim64)
+    assert set(rep) == {"displacement", "squeeze"}
+    assert all(a.shape == (len(pts),) for part in rep.values() for a in part)
     close = lambda got, want: abs(got - want) <= 1e-12 * want + 1e-15
     for k, p in enumerate(pts):
-        one = bch_identity_report(p.lam, p.mu, space64)
-        assert isinstance(one.interior_dev, float)
-        assert close(rep.interior_dev[k], one.interior_dev)
-        assert close(rep.boundary_dev[k], one.boundary_dev)
-        for name, part in one.extras.items():
-            batch = rep.extras[name]
-            assert isinstance(part["buffer"], int)
-            assert batch["buffer"][k] == part["buffer"]
-            assert close(batch["interior_dev"][k], part["interior_dev"])
-            assert close(batch["boundary_dev"][k], part["boundary_dev"])
+        one = bch_identity_report(p.lam, p.mu, dim64)
+        for name, (interior, boundary, buffer) in one.items():
+            batch = rep[name]
+            assert interior.shape == boundary.shape == buffer.shape == ()
+            assert buffer.dtype.kind == "i"
+            assert batch[2][k] == buffer
+            assert close(batch[0][k], interior)
+            assert close(batch[1][k], boundary)

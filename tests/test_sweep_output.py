@@ -18,15 +18,33 @@ MATRIX_NAMES = ["A_lambda", "A_mu", "C_lambda_mu", "C_mu_mubar", "B"]
 finite = st.one_of(st.sampled_from(SPECIAL), st.floats(allow_nan=False, allow_infinity=False))
 
 
+def _csv_header(named) -> str:
+    """name[i][j].re, name[i][j].im for each matrix cell row-major, name.re,
+    name.im for a stack of scalars."""
+    headers = [
+        f"{name}{cell}.{part}"
+        for name, values in named
+        for cell in (
+            [f"[{i}][{j}]" for i in range(values.shape[1]) for j in range(values.shape[2])]
+            if values.ndim == 3
+            else [""]
+        )
+        for part in ("re", "im")
+    ]
+    return ",".join(headers)
+
+
 def _reference(named, fmt: str) -> str:
-    """The text the per-point path wrote: repr joins per row, or dump_json of
-    one dict per point built from the matrix_payload of each column."""
+    """The text the per-point path wrote: the header and repr joins per row,
+    or dump_json of one dict per point built from the matrix_payload of each
+    column."""
     if fmt == "csv":
         n = len(named[0][1])
         table = np.concatenate(
             [np.stack([v.real, v.imag], -1).reshape(n, -1) for _, v in named], axis=1
         )
-        return "\n".join(",".join(map(repr, row)) for row in table.tolist())
+        rows = [",".join(map(repr, row)) for row in table.tolist()]
+        return "\n".join([_csv_header(named)] + rows) + "\n"
     names = [name for name, _ in named]
     columns = [matrix_payload(v) for _, v in named]
     return dump_json([dict(zip(names, entry)) for entry in zip(*columns)])
@@ -68,7 +86,8 @@ def test_render_points_keeps_signed_zeros_apart():
     """A column that is 0.0 except for one -0.0 varies: its bits differ."""
     lam = np.array([0.0, -0.0, 0.0]).astype(complex)
     named = [("lambda", lam), ("mu", np.zeros(3, complex))]
-    assert render_points(named, "csv") == "0.0,0.0,0.0,0.0\n-0.0,0.0,0.0,0.0\n0.0,0.0,0.0,0.0"
+    rows = "0.0,0.0,0.0,0.0\n-0.0,0.0,0.0,0.0\n0.0,0.0,0.0,0.0\n"
+    assert render_points(named, "csv") == "lambda.re,lambda.im,mu.re,mu.im\n" + rows
 
 
 def _closed_named(command: str, points, m: int):
@@ -96,15 +115,8 @@ def _expected_text(command: str, points, m: int, fmt: str) -> str:
     entries = [dict(zip(names, e)) for e in zip(*(matrix_payload(v) for _, v in named))]
     if fmt == "json":
         return dump_json({"version": __version__, "m": m, "points": entries})
-    cells = [f"[{i}][{j}]" for i in range(m) for j in range(m)]
-    headers = [
-        f"{name}{cell}.{part}"
-        for name, values in named
-        for cell in (cells if values.ndim == 3 else [""])
-        for part in ("re", "im")
-    ]
     rows = [",".join(repr(x) for name in names for x in _flatten(e[name])) for e in entries]
-    return "\n".join([",".join(headers)] + rows) + "\n"
+    return "\n".join([_csv_header(named)] + rows) + "\n"
 
 
 def _signed_zero_grid(path) -> str:
