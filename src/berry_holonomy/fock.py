@@ -135,13 +135,20 @@ def _raising_exp(c, j: int, D: int) -> np.ndarray:
 
     Column k holds c^q/q! sqrt((k+jq)!/k!) at row k+jq, the running product
     of the series' term ratios c w / q with w = sqrt((k+jq)!/(k+j(q-1))!).
+    The ratios are formed part by part in real arithmetic as (c w) (1/q),
+    which gives the bits of numpy's complex division by q + 0i (it, too,
+    multiplies by 1/q) without the complex arithmetic over the whole table.
     """
     c = np.asarray(c, dtype=complex)[..., np.newaxis, np.newaxis]
     q = np.arange(1, (D - 1) // j + 1)[:, np.newaxis]
     k = np.arange(D)
     row = k + j * q  # row of term q in column k
     w = np.sqrt(np.prod(row[..., np.newaxis] - np.arange(j), axis=-1))
-    terms = np.cumprod(np.where(row < D, c * w / q, 0), axis=-2)
+    ratio = np.empty(np.broadcast_shapes(c.shape, w.shape), dtype=complex)
+    for part, c_part in ((ratio.real, c.real), (ratio.imag, c.imag)):
+        np.multiply(c_part, w, out=part)
+        part *= 1.0 / q
+    terms = np.cumprod(np.where(row < D, ratio, 0), axis=-2)
     qi, col = np.nonzero(row < D)
     out = np.zeros(c.shape[:-2] + (D, D), dtype=complex)
     out[..., k, k] = 1.0

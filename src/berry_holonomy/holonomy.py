@@ -5,9 +5,13 @@ fourth-order two-point Gauss-Magnus rule (Iserles & Norsett 1999; Blanes,
 Casas, Oteo & Ros 2009) and restores exact unitarity by one polar
 projection at the end.  The step exponentials, the Magnus radius guard and
 the product of the steps are batched numpy operations on the stack of
-steps, with no Python loop over the steps.  The exponentials take the
-lowest Pade degree whose range covers the stack's largest 1-norm, and the
-guard needs eigenvalues only when some step's Frobenius norm reaches pi.
+steps, with no Python loop over the steps and no linear solve.  Stacks are
+laid out (m, m, steps), and every product of two stacks goes through
+`_stack_matmul`: an elementwise sum over k for small m, numpy's stacked
+matmul above ELEMENTWISE_MAX_M.  The exponentials are truncated Taylor
+series of the lowest degree whose range covers the stack's largest 1-norm,
+and the guard needs eigenvalues only when some step's Frobenius norm
+reaches pi.
 `logm` is the principal logarithm of a unitary matrix.  The module needs
 nothing beyond numpy.
 `LoopPath.gauss_steps` places the nodes of every loop integral strictly
@@ -59,31 +63,21 @@ SEGMENT_STEPS = 256
 LOG_MAX_ROOTS = 8
 LOG_MIN_GAP = 1e-8
 
-# coefficients b_0..b_p of the diagonal Pade [p/p] approximants of exp, and
-# the 1-norm up to which each is accurate to double precision (Higham 2005,
-# SIAM J. Matrix Anal. Appl. 26:1179, Table 2.3 and Algorithm 2.3)
-_PADE13 = (
-    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
-    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
-    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
-)
-_THETA13 = 5.371920351148152
-# (theta_p, b_0..b_p) for p = 3, 5, 7, 9
-_PADE_LOW = (
-    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
-    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
-    (
-        9.504178996162932e-1,
-        (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
-    ),
-    (
-        2.097847961257068,
-        (
-            17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
-            2162160.0, 110880.0, 3960.0, 90.0, 1.0,
-        ),
-    ),
-)
+# Largest m whose step stacks `_stack_matmul` multiplies entry by entry.
+# numpy's stacked matmul pays about 0.4 us per matrix whatever m is; the
+# elementwise sum pays per vector operation, m (2m - 1) of them over the
+# steps, each growing with m.  Timed on whole transports (2 vCPUs, one
+# OpenBLAS thread), the sum wins at m <= 4 on 256 to 4096 steps; at m = 5
+# it wins or ties on 4096 steps and loses on 256 and 512; from m = 6 it
+# loses throughout.
+ELEMENTWISE_MAX_M = 4
+
+# (k, theta_k): degrees of the truncated Taylor series of exp that
+# Paterson-Stockmeyer evaluates with 1, 2, 3, 4, 5, 6 products, and the
+# 1-norm up to which each has backward error below 2^-53 (Higham 2008,
+# Functions of Matrices, Table A.3; Al-Mohy & Higham 2011, SIAM J. Sci.
+# Comput. 33:488, Table 3.1)
+_TAYLOR = ((2, 2.58e-8), (4, 3.40e-4), (6, 9.07e-3), (9, 8.96e-2), (12, 3.00e-1), (16, 7.81e-1))
 
 
 @dataclass
@@ -191,42 +185,66 @@ def square_loop(
     return polygon_loop(verts, samples_per_side=samples_per_side, closed=True)
 
 
-def _expm(a: np.ndarray) -> np.ndarray:
-    """exp of every matrix of an (n, m, m) stack by a diagonal Pade
-    approximant (Higham 2005, Algorithm 2.3), one `solve` for the stack.
+def _stack_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b for every step of two (m, m, steps) stacks.
 
-    The degree is chosen once for the stack: the lowest of 3, 5, 7, 9 whose
-    theta bounds the largest 1-norm in the stack.  Above theta_9 it is
-    [13/13] with scaling and squaring: each matrix is scaled by its own
-    power of two 2^-s, s the least with 1-norm 2^-s |a|_1 < THETA13, and
-    squared back s times.
+    Up to ELEMENTWISE_MAX_M row i is the sum over k of a[i, k] * b[k, :],
+    each term one vector operation over the row and the steps, so no step
+    pays numpy's per-matrix dispatch; such stacks are fastest with the steps
+    contiguous.  Above it the steps go to numpy's stacked matmul, which
+    wants each step's matrix contiguous instead.
     """
-    norm = np.abs(a).sum(axis=-2).max(axis=-1)
-    eye = np.eye(a.shape[-1])
+    m = a.shape[0]
+    if m > ELEMENTWISE_MAX_M:
+        return (a.transpose(2, 0, 1) @ b.transpose(2, 0, 1)).transpose(1, 2, 0)
+    out = np.empty(a.shape, dtype=complex)
+    for i in range(m):
+        row = out[i]
+        np.multiply(a[i, 0], b[0], out=row)
+        for k in range(1, m):
+            row += a[i, k] * b[k]
+    return out
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp of every matrix of an (m, m, steps) stack by its truncated Taylor
+    series, evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2:60, 1973).
+
+    The degree k is chosen once for the stack: the lowest in _TAYLOR whose
+    theta_k bounds the largest 1-norm.  Above the top theta each matrix is
+    scaled by its own power of two, the least that brings its 1-norm below
+    theta_16, and squared back as many times.  With s = ceil(sqrt(k)),
+    which divides every k of the table, the series is a polynomial in a^s
+    whose coefficients are polynomials of degree below s in a (the top one
+    of degree s), summed by Horner's rule in a^s.
+    """
+    m = a.shape[0]
+    norm = np.abs(a).sum(axis=0).max(axis=0)
     largest = norm.max(initial=0.0)
-    for theta, b in _PADE_LOW:
+    for degree, theta in _TAYLOR:
         if largest <= theta:
-            even = [eye, a @ a]
-            while len(even) < len(b) // 2:
-                even.append(even[-1] @ even[1])
-            u = a @ sum(c * x for c, x in zip(b[1::2], even))
-            v = sum(c * x for c, x in zip(b[0::2], even))
-            return np.linalg.solve(v - u, v + u)
-    b = _PADE13
-    s = np.maximum(np.frexp(norm / _THETA13)[1], 0)
-    a = a * np.ldexp(1.0, -s)[:, None, None]
-    a2 = a @ a
-    a4 = a2 @ a2
-    a6 = a4 @ a2
-    u = a @ (
-        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
-    )
-    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
-    r = np.linalg.solve(v - u, v + u)
-    for k in range(int(s.max(initial=0))):
-        sel = s > k
-        r[sel] = r[sel] @ r[sel]
-    return r
+            break
+    squarings = np.zeros(norm.shape, dtype=int)
+    if largest > theta:
+        squarings = np.maximum(np.frexp(norm / theta)[1], 0)
+        a = a * np.ldexp(1.0, -squarings)
+    s = math.isqrt(degree - 1) + 1
+    powers = [None, a]
+    while len(powers) <= s:
+        powers.append(_stack_matmul(powers[-1], a))
+    p = powers[s] / math.factorial(degree)
+    term = np.empty_like(p)  # reused: a fresh temporary per term costs more than the add
+    for lo in range(degree - s, -1, -s):
+        for j in range(1, s):
+            p += np.multiply(powers[j], 1.0 / math.factorial(lo + j), out=term)
+        for d in range(m):
+            p[d, d] += 1.0 / math.factorial(lo)
+        if lo:
+            p = _stack_matmul(powers[s], p)
+    for k in range(int(squarings.max(initial=0))):
+        sel = squarings > k
+        p[..., sel] = _stack_matmul(p[..., sel], p[..., sel])
+    return p
 
 
 def transport(
@@ -238,7 +256,8 @@ def transport(
     Every step is exp(Omega), Omega = -h/2 (A1 + A2) + sqrt(3) h^2/12
     [A2, A1] from the one-form at its two Gauss nodes; `_expm` takes the
     whole stack of Omega at once, and the ordered product of the steps is
-    taken pairwise, halving the stack with one batched matmul per level.
+    taken pairwise, halving the stack with one `_stack_matmul` per level
+    (the last step of an odd stack multiplies the last pair).
     `one_form` is `loop_one_form(loop, m)` when the caller has it already.
     The polar projection removes the roundoff that the product of many
     steps accumulates, which would otherwise reach the logarithm of a small
@@ -250,25 +269,29 @@ def transport(
     step's |Omega|_F is pi or more.
     """
     h, a = loop_one_form(loop, m) if one_form is None else one_form
-    a1, a2 = a[:, 0], a[:, 1]
-    hh = h[:, None, None]
-    omega = -0.5 * hh * (a1 + a2) + (math.sqrt(3.0) / 12.0) * hh * hh * (a2 @ a1 - a1 @ a2)
+    a = np.moveaxis(a, 0, -1)
+    a1, a2 = np.ascontiguousarray(a) if m <= ELEMENTWISE_MAX_M else a
+    omega = _stack_matmul(a2, a1) - _stack_matmul(a1, a2)
+    omega *= (math.sqrt(3.0) / 12.0) * h * h
+    omega -= 0.5 * h * (a1 + a2)
     if not (
         np.isfinite(omega).all()
         and (
-            np.linalg.norm(omega, axis=(1, 2)).max() < math.pi
-            or np.abs(np.linalg.eigvalsh(1j * omega)).max() < math.pi
+            np.linalg.norm(omega, axis=(0, 1)).max() < math.pi
+            or np.abs(np.linalg.eigvalsh(1j * np.moveaxis(omega, -1, 0))).max() < math.pi
         )
     ):
         raise FloatingPointError(
             f"transport step outside the Magnus convergence radius at {loop.samples} samples"
         )
     steps = _expm(omega)
-    while len(steps) > 1:
-        n = len(steps)
-        paired = steps[1::2] @ steps[0 : n - 1 : 2]
-        steps = np.concatenate([paired, steps[n - 1 :]]) if n % 2 else paired
-    uu, _, vh = np.linalg.svd(steps[0])
+    while steps.shape[-1] > 1:
+        n = steps.shape[-1]
+        paired = _stack_matmul(steps[..., 1::2], steps[..., 0 : n - 1 : 2])
+        if n % 2:
+            paired[..., -1] = steps[..., -1] @ paired[..., -1]
+        steps = paired
+    uu, _, vh = np.linalg.svd(steps[..., 0])
     return uu @ vh
 
 

@@ -6,18 +6,22 @@ eigen-solve exponential check the factor engine; the Hamiltonian H0 and the
 spectrum of U H0 U+ check the family's isospectrality; dA + A ^ A of a
 connection field and the projector two-form P dP ^ dP check the curvature;
 a closure that commutes one pair at a time and ranks a per-matrix row list
-checks the batched Lie closure.
+checks the batched Lie closure; a Pade exponential with a batched solve and a
+transport of (steps, m, m) stacks through numpy's matmul check the
+solve-free transport.
 """
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from berry_holonomy.connection import loop_one_form
 from berry_holonomy.curvature import CurvatureForm, curvature_closed, leg_pairs
 from berry_holonomy.family import ParameterPoint, classifying_projector, vacuum_frame
 from berry_holonomy.fock import apply_factors
+from berry_holonomy.holonomy import LoopPath
 from berry_holonomy.lie import CLOSURE_ROUNDS, RANK_RTOL, ClosureNotStabilized
 from berry_holonomy.numeric import STEP, _dagger, wirtinger_derivative
 
@@ -213,3 +217,111 @@ def _compress(basis: List[np.ndarray], dim: int) -> List[np.ndarray]:
         mat = v[:half].reshape(shape) + 1j * v[half:].reshape(shape)
         out.append(mat / np.abs(mat).max())
     return out
+
+
+# coefficients b_0..b_p of the diagonal Pade [p/p] approximants of exp, and
+# the 1-norm up to which each is accurate to double precision (Higham 2005,
+# SIAM J. Matrix Anal. Appl. 26:1179, Table 2.3 and Algorithm 2.3)
+_PADE13 = (
+    64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
+    1187353796428800.0, 129060195264000.0, 10559470521600.0, 670442572800.0,
+    33522128640.0, 1323241920.0, 40840800.0, 960960.0, 16380.0, 182.0, 1.0,
+)
+_THETA13 = 5.371920351148152
+# (theta_p, b_0..b_p) for p = 3, 5, 7, 9
+_PADE_LOW = (
+    (1.495585217958292e-2, (120.0, 60.0, 12.0, 1.0)),
+    (2.539398330063230e-1, (30240.0, 15120.0, 3360.0, 420.0, 30.0, 1.0)),
+    (
+        9.504178996162932e-1,
+        (17297280.0, 8648640.0, 1995840.0, 277200.0, 25200.0, 1512.0, 56.0, 1.0),
+    ),
+    (
+        2.097847961257068,
+        (
+            17643225600.0, 8821612800.0, 2075673600.0, 302702400.0, 30270240.0,
+            2162160.0, 110880.0, 3960.0, 90.0, 1.0,
+        ),
+    ),
+)
+
+
+def pade_expm(a: np.ndarray) -> np.ndarray:
+    """exp of every matrix of an (n, m, m) stack by a diagonal Pade
+    approximant (Higham 2005, Algorithm 2.3), one `solve` for the stack.
+
+    The degree is chosen once for the stack: the lowest of 3, 5, 7, 9 whose
+    theta bounds the largest 1-norm in the stack.  Above theta_9 it is
+    [13/13] with scaling and squaring: each matrix is scaled by its own
+    power of two 2^-s, s the least with 1-norm 2^-s |a|_1 < THETA13, and
+    squared back s times.
+    """
+    norm = np.abs(a).sum(axis=-2).max(axis=-1)
+    eye = np.eye(a.shape[-1])
+    largest = norm.max(initial=0.0)
+    for theta, b in _PADE_LOW:
+        if largest <= theta:
+            even = [eye, a @ a]
+            while len(even) < len(b) // 2:
+                even.append(even[-1] @ even[1])
+            u = a @ sum(c * x for c, x in zip(b[1::2], even))
+            v = sum(c * x for c, x in zip(b[0::2], even))
+            return np.linalg.solve(v - u, v + u)
+    b = _PADE13
+    s = np.maximum(np.frexp(norm / _THETA13)[1], 0)
+    a = a * np.ldexp(1.0, -s)[:, None, None]
+    a2 = a @ a
+    a4 = a2 @ a2
+    a6 = a4 @ a2
+    u = a @ (
+        a6 @ (b[13] * a6 + b[11] * a4 + b[9] * a2) + b[7] * a6 + b[5] * a4 + b[3] * a2 + b[1] * eye
+    )
+    v = a6 @ (b[12] * a6 + b[10] * a4 + b[8] * a2) + b[6] * a6 + b[4] * a4 + b[2] * a2 + b[0] * eye
+    r = np.linalg.solve(v - u, v + u)
+    for k in range(int(s.max(initial=0))):
+        sel = s > k
+        r[sel] = r[sel] @ r[sel]
+    return r
+
+
+def matmul_transport(
+    loop: LoopPath, m: int, *, one_form: Optional[Tuple[np.ndarray, np.ndarray]] = None
+) -> np.ndarray:
+    """Fourth-order Gauss-Magnus transport along the full path; one polar
+    projection at the end.
+
+    Every step is exp(Omega), Omega = -h/2 (A1 + A2) + sqrt(3) h^2/12
+    [A2, A1] from the one-form at its two Gauss nodes; `pade_expm` takes the
+    whole stack of Omega at once, and the ordered product of the steps is
+    taken pairwise, halving the stack with one batched matmul per level.
+    `one_form` is `loop_one_form(loop, m)` when the caller has it already.
+    The polar projection removes the roundoff that the product of many
+    steps accumulates, which would otherwise reach the logarithm of a small
+    loop.  Raises FloatingPointError when Omega is not finite or a step's
+    i Omega has an eigenvalue of magnitude pi or more: such a step lies
+    outside the Magnus convergence radius, and more samples are needed.
+    The Frobenius norm of the hermitian i Omega bounds its eigenvalues, so
+    the eigenvalues (`eigvalsh` on the stack) are taken only when some
+    step's |Omega|_F is pi or more.
+    """
+    h, a = loop_one_form(loop, m) if one_form is None else one_form
+    a1, a2 = a[:, 0], a[:, 1]
+    hh = h[:, None, None]
+    omega = -0.5 * hh * (a1 + a2) + (math.sqrt(3.0) / 12.0) * hh * hh * (a2 @ a1 - a1 @ a2)
+    if not (
+        np.isfinite(omega).all()
+        and (
+            np.linalg.norm(omega, axis=(1, 2)).max() < math.pi
+            or np.abs(np.linalg.eigvalsh(1j * omega)).max() < math.pi
+        )
+    ):
+        raise FloatingPointError(
+            f"transport step outside the Magnus convergence radius at {loop.samples} samples"
+        )
+    steps = pade_expm(omega)
+    while len(steps) > 1:
+        n = len(steps)
+        paired = steps[1::2] @ steps[0 : n - 1 : 2]
+        steps = np.concatenate([paired, steps[n - 1 :]]) if n % 2 else paired
+    uu, _, vh = np.linalg.svd(steps[0])
+    return uu @ vh

@@ -451,6 +451,17 @@ def test_irreducibility_m2(tmp_path):
     assert payload["consistent"] is True
 
 
+def test_irreducibility_m6(tmp_path):
+    """m = 6 is above ELEMENTWISE_MAX_M: the transports go through numpy's
+    matmul, and the loop route still fills u(6)."""
+    code, doc = run(["irreducibility", "--m", "6"], tmp_path)
+    assert code == 0
+    payload = doc["payload"]
+    assert payload["algebra_dim"] == 36
+    assert payload["curvature_span_dim"] == 4
+    assert payload["irreducible"] is True
+
+
 def test_chern_values(tmp_path):
     code, doc = run(["chern", "--m", "2", "--mu", "1"], tmp_path)
     assert code == 0

@@ -24,12 +24,13 @@ from berry_holonomy.holonomy import (
     ALGEBRA_EPS,
     ALGEBRA_STEPS_PER_SIDE,
     PLANE_TANGENTS,
-    _PADE_LOW,
-    _THETA13,
+    _TAYLOR,
     _expm,
+    _stack_matmul,
     logm,
 )
 from berry_holonomy.lie import numerical_rank, real_lie_closure
+from reference import _PADE_LOW, _THETA13, matmul_transport
 
 CENTERS = (
     ParameterPoint(0.32 + 0.21j, 0.43 + 0.14j),
@@ -222,6 +223,11 @@ def _random_unitary(rng, m, max_angle):
     return (q * np.exp(1j * rng.uniform(-max_angle, max_angle, m))) @ q.conj().T
 
 
+def _expm_steps(a):
+    """`_expm` of an (n, m, m) stack, which it takes as (m, m, n)."""
+    return np.moveaxis(_expm(np.moveaxis(a, 0, -1)), -1, 0)
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_expm_matches_scipy(m):
     """Spectral norms from 1e-8 to just under pi (the Magnus steps' range),
@@ -232,9 +238,9 @@ def test_expm_matches_scipy(m):
         _antihermitian_stack(rng, m, np.linspace(6.0, 40.0, 12)),
         np.zeros((3, m, m), dtype=complex),
     ]
-    assert np.abs(stacks[1]).sum(axis=-2).max() > 2 * _THETA13
+    assert np.abs(stacks[1]).sum(axis=-2).max() > 2 * _TAYLOR[-1][1]
     for a in stacks:
-        got = _expm(a)
+        got = _expm_steps(a)
         assert got.shape == a.shape
         for x, e in zip(a, got):
             assert np.abs(e - scipy.linalg.expm(x)).max() < 1e-14
@@ -246,41 +252,67 @@ def _with_largest_1norm(stack, norm):
     return stack * (norm / np.abs(stack).sum(axis=-2).max())
 
 
-_THETAS = [theta for theta, _ in _PADE_LOW] + [_THETA13]
-
-
 def _assert_expm_close(a):
-    got = _expm(a)
+    got = _expm_steps(a)
     assert got.shape == a.shape
     for x, e in zip(a, got):
         want = scipy.linalg.expm(x)
         assert np.abs(e - want).max() <= 1e-14 * np.abs(want).max()
 
 
-@pytest.mark.parametrize("m", [1, 2, 3, 5])
-@pytest.mark.parametrize("degree, theta", zip([3, 5, 7, 9, 13], _THETAS))
-def test_expm_degree_brackets_match_scipy(m, degree, theta):
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+@pytest.mark.parametrize("degree, theta", _TAYLOR)
+def test_expm_taylor_degrees_match_scipy(m, degree, theta):
     """Stacks whose largest 1-norm sits just below each theta, so every
-    Pade degree, and the top of its range, is checked against scipy."""
+    Taylor degree, and the top of its range, is checked against scipy."""
     rng = np.random.default_rng(100 * degree + m)
     a = _antihermitian_stack(rng, m, rng.uniform(0.1, 1.0, 16))
     _assert_expm_close(_with_largest_1norm(a, theta * (1 - 1e-12)))
 
 
+_PADE_THETAS = [theta for theta, _ in _PADE_LOW] + [_THETA13]
+
+
 @pytest.mark.parametrize("m", [1, 2, 3, 5])
+@pytest.mark.parametrize("degree, theta", zip([3, 5, 7, 9, 13], _PADE_THETAS))
+def test_expm_degree_brackets_match_scipy(m, degree, theta):
+    """Stacks whose largest 1-norm sits just below the theta of each degree
+    of the Pade exponential in `reference`: 1-norms across the Taylor table,
+    and 2.1 and 5.4, which take two and three squarings."""
+    rng = np.random.default_rng(100 * degree + m)
+    a = _antihermitian_stack(rng, m, rng.uniform(0.1, 1.0, 16))
+    _assert_expm_close(_with_largest_1norm(a, theta * (1 - 1e-12)))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
 def test_expm_scaling_and_mixed_stacks_match_scipy(m):
     """A stack at 1-norm 40 takes scaling and squaring; a stack straddling
-    theta_5 is evaluated at degree 7 for all of its matrices, the small
+    theta_6 is evaluated at degree 9 for all of its matrices, the small
     ones too."""
     rng = np.random.default_rng(200 + m)
     scaled = _with_largest_1norm(_antihermitian_stack(rng, m, rng.uniform(0.5, 1.0, 8)), 40.0)
     _assert_expm_close(scaled)
-    theta5 = _THETAS[1]
+    thetas = dict(_TAYLOR)
     mixed = _antihermitian_stack(rng, m, np.ones(12))
     mixed = mixed / np.abs(mixed).sum(axis=-2).max(axis=-1)[:, None, None]
-    mixed = mixed * np.geomspace(1e-6 * theta5, 1.5 * theta5, 12)[:, None, None]
-    assert np.abs(mixed).sum(axis=-2).max() < _THETAS[2]
+    mixed = mixed * np.geomspace(1e-6 * thetas[6], 1.5 * thetas[6], 12)[:, None, None]
+    assert np.abs(mixed).sum(axis=-2).max() < thetas[9]
     _assert_expm_close(mixed)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+@pytest.mark.parametrize("steps", [1, 2, 7, 64, 1023])
+def test_stack_matmul_matches_matmul(m, steps):
+    """The product helper against numpy's matmul on both sides of
+    ELEMENTWISE_MAX_M, with the steps contiguous and with each step's
+    matrix contiguous (the two layouts `transport` keeps)."""
+    rng = np.random.default_rng(10 * m + steps)
+    a, b = rng.normal(size=(2, steps, m, m)) + 1j * rng.normal(size=(2, steps, m, m))
+    want = a @ b
+    for layout in (np.ascontiguousarray, lambda x: x):
+        got = _stack_matmul(layout(np.moveaxis(a, 0, -1)), layout(np.moveaxis(b, 0, -1)))
+        assert got.shape == (m, m, steps)
+        assert np.abs(np.moveaxis(got, -1, 0) - want).max() < 1e-14 * m
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
@@ -349,7 +381,7 @@ def test_logm_principal_branch_near_minus_one():
 
 
 def test_transport_matches_sequential_scipy_product():
-    """The pairwise product of the batched Pade steps against the step loop
+    """The pairwise product of the batched Taylor steps against the step loop
     w <- expm(Omega_k) w with scipy's expm, on a polygon whose mu varies."""
     loop = polygon_loop(LOOP_A, samples_per_side=101)
     h, a = loop_one_form(loop, 3)
@@ -362,6 +394,36 @@ def test_transport_matches_sequential_scipy_product():
     u, _, vh = np.linalg.svd(w)
     assert len(omega) == 303
     assert np.abs(transport(loop, 3) - u @ vh).max() < 1e-13
+
+
+def _seeded_polygon():
+    rng = np.random.default_rng(29)
+    z = rng.uniform(0, 0.8, (5, 2)) * np.exp(2j * np.pi * rng.uniform(size=(5, 2)))
+    return polygon_loop([ParameterPoint(lam, mu) for lam, mu in z], samples_per_side=41)
+
+
+# odd step counts (1023, 5, 7, 205) leave a last step over at some level of
+# the pairwise product
+REFERENCE_LOOPS = {
+    "circle-mu0": lambda_circle(0.5, 0.0, samples=1023),
+    "circle-mu0.5i": lambda_circle(0.5, 0.5j, samples=1023),
+    "circle-mu2": lambda_circle(0.5, 2.0, samples=1023),
+    "circle-5-steps": lambda_circle(0.05, 0.5j, samples=5),
+    "circle-7-steps": lambda_circle(0.05, 2.0, samples=7),
+    "polygon": _seeded_polygon(),
+    "square": square_loop(CENTERS[0], "lmb", ALGEBRA_EPS, ALGEBRA_STEPS_PER_SIDE),
+}
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+@pytest.mark.parametrize("name", list(REFERENCE_LOOPS))
+def test_transport_matches_reference(name, m):
+    """The solve-free transport against the Pade transport of (steps, m, m)
+    stacks through numpy's matmul, on both sides of ELEMENTWISE_MAX_M."""
+    loop = REFERENCE_LOOPS[name]
+    one_form = loop_one_form(loop, m)
+    want = matmul_transport(loop, m, one_form=one_form)
+    assert np.abs(transport(loop, m, one_form=one_form) - want).max() < 1e-13
 
 
 @pytest.mark.parametrize("factor, raises", [(1 - 1e-9, False), (1 + 1e-9, True)])
@@ -424,6 +486,20 @@ def test_holonomy_command_skips_eigenvalue_guard(monkeypatch, tmp_path):
         raise AssertionError("eigvalsh called")
 
     monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    out = tmp_path / "w.json"
+    argv = ["holonomy", "--m", "3", "--samples", "4096", "--mu", "2", "--out", str(out)]
+    assert main(argv) == 0
+    assert out.exists()
+
+
+def test_holonomy_command_makes_no_solve(monkeypatch, tmp_path):
+    """The step exponentials are Taylor polynomials, so the command never
+    solves a linear system."""
+
+    def refuse(*args):
+        raise AssertionError("solve called")
+
+    monkeypatch.setattr(np.linalg, "solve", refuse)
     out = tmp_path / "w.json"
     argv = ["holonomy", "--m", "3", "--samples", "4096", "--mu", "2", "--out", str(out)]
     assert main(argv) == 0
