@@ -5,8 +5,11 @@ independent measures of the based holonomy algebra; both pick up covariant
 derivatives of the curvature through the conjugating transports.  The span
 counts directions reachable by untransported curvature contractions alone.
 At m = 2 all three give 4 = dim u(2).  From m = 3 on the span stays at 4
-while the other two fill all of u(m), so the vacuum bundle is irreducible at
-every m probed here.
+while the loop algebra fills all of u(m), so the vacuum bundle is irreducible
+at every m probed here.  The transported curvature fills u(3) and u(4) but
+stays at 16 from m = 4 on: at each of the two centers the curvature acts on
+the top two levels of that center's frame, so two centers generate inside
+u(4).
 """
 import argparse
 

@@ -50,13 +50,15 @@ def _generator_modes(dim: int, j: int) -> Tuple[np.ndarray, np.ndarray, np.ndarr
     P = diag(i^floor(n/j)), P+ (i G_j) P is therefore the real symmetric T
     with T[n+j, n] = T[n, n+j] = sqrt((n+1)...(n+j))/j, and its eigen-solve
     is real.  The arrays are shared by every caller, so they are read-only.
+    The D x D table is allocated first, so a `dim` too large for it fails
+    before any O(D) work.
     """
+    t = np.zeros((dim, dim))
     n = np.arange(max(dim - j, 0))
     weight = np.ones(n.size)
     for k in range(1, j + 1):
         weight = weight * (n + k)
     weight = np.sqrt(weight) / j
-    t = np.zeros((dim, dim))
     t[n + j, n] = weight
     t[n, n + j] = weight
     w, q = np.linalg.eigh(t)

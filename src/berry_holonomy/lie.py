@@ -2,10 +2,15 @@
 
 Matrices over C are treated as vectors over R (real and imaginary parts
 concatenated), so the reported dimension is the real dimension of the
-smallest real Lie algebra containing the generators.  For generators inside
-u(m) the answer is bounded by m^2.  Every step works on the whole (n, m, m)
-stack at once: a closure round forms all its commutators with one batched
-product, and the rank table is one reshape of the stack.
+smallest real Lie algebra containing the generators.  The closure keeps one
+orthonormal real basis of the span so far, from one SVD (`_span`, which also
+gives `numerical_rank`); a round commutes all pairs of that basis with one
+batched product and spans the basis together with the commutators that are
+more than roundoff.  Everything it spans is first replaced by its
+anti-hermitian part (X - X+)/2, so the answer lies in u(m) and is at most
+m^2 by construction.  The basis is projected too: a direction with a small
+singular value carries roundoff outside the span, up to eps over that
+singular value, and counted again it would leave u(m).
 """
 from __future__ import annotations
 
@@ -35,67 +40,50 @@ class ClosureNotStabilized(RuntimeError):
         self.rounds = rounds
 
 
-def _real_rows(stack: np.ndarray) -> np.ndarray:
-    """(n, 2 m^2) table whose row k is the real and imaginary parts of
-    stack[k], each raveled."""
-    flat = stack.reshape(len(stack), -1)
-    return np.concatenate([flat.real, flat.imag], axis=1)
+def _antihermitian(stack: np.ndarray) -> np.ndarray:
+    """(X - X+)/2 of every matrix of the stack."""
+    return (stack - np.conj(np.swapaxes(stack, 1, 2))) / 2
 
 
-def _unit_nonzero(stack: np.ndarray) -> np.ndarray:
-    """The matrices of the stack whose max-abs entry exceeds 1e-14, each
-    divided by that entry."""
-    peak = np.abs(stack).max(axis=(1, 2))
-    keep = peak > 1e-14
-    return stack[keep] / peak[keep, None, None]
+def _span(stack: np.ndarray) -> np.ndarray:
+    """Orthonormal real basis, as an (r, m, m) stack, of the span of the
+    stack's matrices.  Each matrix is first scaled to unit max-abs so small
+    ones are not drowned by the cut; directions whose singular value is below
+    RANK_RTOL times the largest are dropped."""
+    n, rows, cols = stack.shape
+    half = rows * cols
+    peak = np.maximum(np.abs(stack).max(axis=(1, 2)), 1e-300)
+    flat = (stack / peak[:, None, None]).reshape(n, half)
+    _, s, vh = np.linalg.svd(np.concatenate([flat.real, flat.imag], axis=1), full_matrices=False)
+    r = int(np.sum(s > RANK_RTOL * s.max(initial=0.0)))
+    return (vh[:r, :half] + 1j * vh[:r, half:]).reshape(r, rows, cols)
 
 
 def numerical_rank(mats: Sequence[np.ndarray]) -> int:
     """Rank of the stacked real vectors, each normalized to unit max-abs so
     small commutators are not drowned by the singular-value threshold."""
-    if len(mats) == 0:
-        return 0
-    stack = np.asarray(mats)
-    peak = np.maximum(np.abs(stack).max(axis=(1, 2)), 1e-300)
-    s = np.linalg.svd(_real_rows(stack / peak[:, None, None]), compute_uv=False)
-    if s[0] == 0.0:
-        return 0
-    return int(np.sum(s > RANK_RTOL * s[0]))
+    return len(_span(np.asarray(mats))) if len(mats) else 0
 
 
 def real_lie_closure(gens: Sequence[np.ndarray]) -> int:
     """Dimension of the closure under commutators.
 
-    Each round commutes all current pairs (i < j, row-major), appends the
-    nonzero results, and recomputes the rank; stabilization means one full
-    round added nothing.  Raises ClosureNotStabilized when CLOSURE_ROUNDS
-    rounds do not stabilize.  A basis longer than 400 is compressed to
-    `dim` orthogonal combinations, which keeps the pairwise pass quadratic
-    in a small number; the cap is far above m^2 for any m this library
-    handles.
+    Each round commutes all pairs (i < j, row-major) of the current
+    orthonormal basis, drops the commutators whose max-abs entry is at most
+    RANK_RTOL (roundoff: the basis has unit norm) and spans the
+    anti-hermitian parts of the basis and the rest; stabilization means one
+    full round added no direction.  Raises ClosureNotStabilized when
+    CLOSURE_ROUNDS rounds do not stabilize.
     """
     if len(gens) == 0:
         return 0
-    basis = _unit_nonzero(np.asarray(gens))
-    dim = numerical_rank(basis)
-    if dim == 0:
-        return 0
+    basis = _span(_antihermitian(np.asarray(gens)))
     for _ in range(CLOSURE_ROUNDS):
         i, j = np.triu_indices(len(basis), 1)
-        grown = np.concatenate([basis, _unit_nonzero(basis[i] @ basis[j] - basis[j] @ basis[i])])
-        new_dim = numerical_rank(grown)
-        if new_dim == dim:
-            return dim
+        comm = basis[i] @ basis[j] - basis[j] @ basis[i]
+        comm = comm[np.abs(comm).max(axis=(1, 2)) > RANK_RTOL]
+        grown = _span(_antihermitian(np.concatenate([basis, comm])))
+        if len(grown) == len(basis):
+            return len(basis)
         basis = grown
-        dim = new_dim
-        if len(basis) > 400:
-            basis = _compress(basis, dim)
-    raise ClosureNotStabilized(dim, CLOSURE_ROUNDS)
-
-
-def _compress(basis: np.ndarray, dim: int) -> np.ndarray:
-    """Replace a bloated spanning stack by `dim` orthogonal combinations."""
-    shape = (dim,) + basis.shape[1:]
-    _, _, vh = np.linalg.svd(_real_rows(basis), full_matrices=False)
-    half = vh.shape[1] // 2
-    return _unit_nonzero(vh[:dim, :half].reshape(shape) + 1j * vh[:dim, half:].reshape(shape))
+    raise ClosureNotStabilized(len(basis), CLOSURE_ROUNDS)

@@ -5,10 +5,10 @@ something the package computes.  Dense operator matrices and a direct
 eigen-solve exponential check the factor engine; the Hamiltonian H0 and the
 spectrum of U H0 U+ check the family's isospectrality; dA + A ^ A of a
 connection field and the projector two-form P dP ^ dP check the curvature;
-a closure that commutes one pair at a time and ranks a per-matrix row list
-checks the batched Lie closure; a Pade exponential with a batched solve and a
-transport of (steps, m, m) stacks through numpy's matmul check the
-solve-free transport.
+a closure in u(m) that commutes one pair at a time and ranks a per-matrix
+row list checks the batched Lie closure; a Pade exponential with a batched
+solve and a transport of (steps, m, m) stacks through numpy's matmul check
+the solve-free transport.
 """
 from __future__ import annotations
 
@@ -173,17 +173,25 @@ def numerical_rank(mats: Sequence[np.ndarray]) -> int:
     return int(np.sum(s > RANK_RTOL * s[0]))
 
 
-def real_lie_closure(gens: Sequence[np.ndarray]) -> int:
-    """Dimension of the closure under commutators.
+def antihermitian_part(mat: np.ndarray) -> np.ndarray:
+    return (mat - mat.conj().T) / 2
 
-    Each round commutes all current pairs, appends the nonzero results, and
-    recomputes the rank; stabilization means one full round added nothing.
-    Raises ClosureNotStabilized when CLOSURE_ROUNDS rounds do not stabilize.
-    The basis list is capped to keep the pairwise pass quadratic in a small
-    number; the cap is far above m^2 for any m this library handles.
+
+def real_lie_closure(gens: Sequence[np.ndarray]) -> int:
+    """Dimension of the closure under commutators, inside u(m).
+
+    Generators, commutators and compressed directions are each replaced by
+    their anti-hermitian part.  Each round commutes all current pairs,
+    appends the nonzero results, and recomputes the rank; stabilization
+    means one full round added nothing.  Raises ClosureNotStabilized when
+    CLOSURE_ROUNDS rounds do not stabilize.  The basis list is capped to
+    keep the pairwise pass quadratic in a small number; the cap is far above
+    m^2 for any m this library handles.
     """
     basis: List[np.ndarray] = [
-        mat / np.abs(mat).max() for mat in gens if np.abs(mat).max() > 1e-14
+        mat / np.abs(mat).max()
+        for mat in map(antihermitian_part, gens)
+        if np.abs(mat).max() > 1e-14
     ]
     dim = numerical_rank(basis)
     if dim == 0:
@@ -192,7 +200,7 @@ def real_lie_closure(gens: Sequence[np.ndarray]) -> int:
         fresh = []
         for i in range(len(basis)):
             for j in range(i + 1, len(basis)):
-                c = basis[i] @ basis[j] - basis[j] @ basis[i]
+                c = antihermitian_part(basis[i] @ basis[j] - basis[j] @ basis[i])
                 if np.abs(c).max() > 1e-14:
                     fresh.append(c / np.abs(c).max())
         new_dim = numerical_rank(basis + fresh)
@@ -214,7 +222,7 @@ def _compress(basis: List[np.ndarray], dim: int) -> List[np.ndarray]:
     out = []
     for k in range(dim):
         v = vh[k]
-        mat = v[:half].reshape(shape) + 1j * v[half:].reshape(shape)
+        mat = antihermitian_part(v[:half].reshape(shape) + 1j * v[half:].reshape(shape))
         out.append(mat / np.abs(mat).max())
     return out
 

@@ -462,6 +462,16 @@ def test_irreducibility_m6(tmp_path):
     assert payload["irreducible"] is True
 
 
+def test_irreducibility_m9(tmp_path):
+    """From m = 9 on, the loop route's rank cut is close to RANK_RTOL; the
+    closure stays inside u(9) and reads dim u(9), not dim gl(9, C) = 162."""
+    code, doc = run(["irreducibility", "--m", "9"], tmp_path)
+    assert code == 0
+    payload = doc["payload"]
+    assert payload["algebra_dim"] == 81
+    assert payload["irreducible"] is True
+
+
 def test_chern_values(tmp_path):
     code, doc = run(["chern", "--m", "2", "--mu", "1"], tmp_path)
     assert code == 0

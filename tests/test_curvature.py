@@ -1,5 +1,3 @@
-import itertools
-
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -135,8 +133,8 @@ def test_span_dimension_and_validation():
 
 
 def test_span_dimension_raises_when_closure_keeps_growing(monkeypatch):
-    """A rank that grows every round is an error, not a partial dimension."""
-    ranks = itertools.count(1)
-    monkeypatch.setattr("berry_holonomy.lie.numerical_rank", lambda mats: next(ranks))
+    """A closure that does not stabilize within its round budget is an
+    error, not a partial dimension; with no rounds allowed none does."""
+    monkeypatch.setattr("berry_holonomy.lie.CLOSURE_ROUNDS", 0)
     with pytest.raises(ClosureNotStabilized):
         curvature_span_dimension([ParameterPoint(0.32 + 0.21j, 0.43 + 0.14j)], 3)

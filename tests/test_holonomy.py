@@ -187,6 +187,15 @@ def test_transported_curvature_dimensions():
         transported_curvature_dimension((), 2)
 
 
+def test_transported_curvature_stays_in_u4_at_m8():
+    """At each center the curvature acts on the top two levels of that
+    center's frame, so two centers generate inside u(4): 16, and never
+    more than dim u(8) = 64."""
+    dim = transported_curvature_dimension(CENTERS, 8)
+    assert dim <= 64
+    assert dim == 16
+
+
 def test_holonomy_algebra_needs_two_centers():
     with pytest.raises(ValueError):
         holonomy_algebra_dimension(CENTERS[:1], 2)

@@ -2,13 +2,15 @@
 
 Both must report the same dimension, or raise ClosureNotStabilized with the
 same partial dimension, on the generator sets the commands close and on
-drawn sets with repeated, rescaled and zero matrices.
+drawn sets with repeated, rescaled and zero matrices.  On every drawn set
+the closure stays inside u(m), and it finds u(4) from three plain u(4)
+generators.
 """
 import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import reference
 from berry_holonomy import (
@@ -57,17 +59,7 @@ def test_closure_matches_pair_loop_on_command_generators(route, m):
 @pytest.mark.parametrize("m", [4, 5])
 @pytest.mark.parametrize("route", ["loop", "transported"])
 def test_closure_round_budget_matches_pair_loop(monkeypatch, route, m, rounds):
-    """With fewer rounds allowed, both stop at the same partial dimension.
-    The transported route's second round grows its basis past 400 matrices,
-    so from two rounds on it goes through `lie._compress`."""
-    compress = lie._compress
-    compressed = []
-
-    def spy(basis, dim):
-        compressed.append(len(basis))
-        return compress(basis, dim)
-
-    monkeypatch.setattr(lie, "_compress", spy)
+    """With fewer rounds allowed, both stop at the same partial dimension."""
     monkeypatch.setattr(lie, "CLOSURE_ROUNDS", rounds)
     monkeypatch.setattr(reference, "CLOSURE_ROUNDS", rounds)
     gens = list(closure_inputs(route, m))
@@ -75,7 +67,36 @@ def test_closure_round_budget_matches_pair_loop(monkeypatch, route, m, rounds):
     assert got == outcome(reference.real_lie_closure, gens)
     if rounds == 1:
         assert got[0] == "not stabilized"
-    assert bool(compressed) == (route == "transported" and rounds >= 2)
+
+
+def _unit(m: int, j: int, k: int) -> np.ndarray:
+    e = np.zeros((m, m), dtype=complex)
+    e[j, k] = 1.0
+    return e
+
+
+# three plain u(4) generators whose exact closure is u(4); hermitian roundoff
+# counted as directions would carry the closure past 16 into gl(4, C)
+U4_GENERATORS = [
+    _unit(4, 0, 1) - _unit(4, 1, 0),
+    _unit(4, 0, 2) - _unit(4, 2, 0) + _unit(4, 2, 3) - _unit(4, 3, 2),
+    1j * _unit(4, 0, 0),
+]
+
+
+def test_closure_of_u4_generators_is_u4():
+    assert real_lie_closure(U4_GENERATORS) == 16
+
+
+def test_commutator_roundoff_is_not_a_direction():
+    """This pair closes to 6 dimensions.  Commutators of an orthonormal
+    basis carry roundoff where the exact value is zero; counted as
+    directions they read "not stabilized, 15"."""
+    gens = [
+        1j * (_unit(4, 0, 3) + _unit(4, 3, 0)),
+        _unit(4, 0, 1) - _unit(4, 1, 0) + 1j * (_unit(4, 1, 2) + _unit(4, 2, 1)),
+    ]
+    assert real_lie_closure(gens) == 6
 
 
 def _elementary(m: int):
@@ -123,3 +144,14 @@ def antihermitian_sets(draw):
 @given(antihermitian_sets())
 def test_closure_matches_pair_loop_on_drawn_sets(mats):
     assert outcome(real_lie_closure, mats) == outcome(reference.real_lie_closure, mats)
+
+
+@settings(max_examples=50)
+@given(antihermitian_sets())
+@example(U4_GENERATORS)
+def test_closure_stays_in_u_m(mats):
+    """The closure, or the partial dimension it raises with, is at most
+    dim u(m) = m^2."""
+    got = outcome(real_lie_closure, mats)
+    m = len(mats[0])
+    assert (got[1] if isinstance(got, tuple) else got) <= m * m
