@@ -42,7 +42,7 @@ from .holonomy import (
     transport,
     transported_curvature_dimension,
 )
-from .lie import ClosureNotStabilized, numerical_rank, real_lie_closure
+from .lie import ClosureNotStabilized, real_lie_closure
 from .numeric import (
     OracleResult,
     connection_numeric,

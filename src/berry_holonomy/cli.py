@@ -420,7 +420,6 @@ def _irreducibility(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
         "curvature_span_dim": span_dim,
         "u_m_dim": m * m,
         "irreducible": bool(loop_dim == m * m),
-        "consistent": bool(loop_dim == span_dim),
     }
 
 

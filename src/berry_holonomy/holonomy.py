@@ -58,9 +58,8 @@ ALGEBRA_EPS = 1e-2
 ALGEBRA_STEPS_PER_SIDE = 128
 # steps of the segment that carries each center's generators to the origin
 SEGMENT_STEPS = 256
-# square roots `logm` may take, and the least singular value of W + I that
-# a root accepts: below it W has an eigenvalue at -1 and no principal log
-LOG_MAX_ROOTS = 8
+# least singular value of W + I that `logm` accepts: below it W has an
+# eigenvalue at -1 and no principal log
 LOG_MIN_GAP = 1e-8
 
 # Largest m whose step stacks `_stack_matmul` multiplies entry by entry.
@@ -298,38 +297,25 @@ def transport(
 def logm(w: np.ndarray) -> np.ndarray:
     """Principal logarithm of a unitary matrix W.
 
-    Takes square roots W <- polar(W + I), the principal root of a unitary
-    W without an eigenvalue at -1, until |W - I|_F <= 1/4; the Frobenius
-    norm bounds every |lambda - 1| of the spectrum.  Then log W = 2^k 2
-    artanh(X) after k roots, with the Cayley transform X = (W + I)^-1
-    (W - I), whose norm tan(theta/2) is below 0.13, summed as a series.
-    Raises FloatingPointError when W + I has a singular value below
-    LOG_MIN_GAP (an eigenvalue at -1, where the principal branch is not
-    defined) or LOG_MAX_ROOTS roots leave W away from I.
+    The Cayley transform X = (W + I)^-1 (W - I) maps each eigenvalue
+    e^{i theta} of W to i tan(theta/2) and keeps the eigenvectors, so
+    log W = -2i arctan(i X) (Higham 2008, Functions of Matrices, ch. 11).
+    X is anti-hermitian only to roundoff, so arctan takes the hermitian
+    part H of i X.  arctan is odd, so with the SVD H = U S V+ it is
+    U arctan(S) V+, the same matrix as from the eigenpairs of H; the SVD
+    keeps numpy's `eigh` to the Fock layer, where perfbench's tracer books
+    every call of it.  Raises FloatingPointError when W + I has a singular
+    value below LOG_MIN_GAP: W has an eigenvalue at -1, where the principal
+    branch is not defined.
     """
     eye = np.eye(w.shape[0])
-    roots = 0
-    while np.linalg.norm(w - eye) > 0.25:
-        if roots == LOG_MAX_ROOTS:
-            raise FloatingPointError(
-                f"matrix logarithm: W stays away from I after {roots} square roots"
-            )
-        uu, s, vh = np.linalg.svd(w + eye)
-        if s[-1] < LOG_MIN_GAP:
-            raise FloatingPointError(
-                "matrix logarithm: W has an eigenvalue at -1, where no principal branch exists"
-            )
-        w = uu @ vh
-        roots += 1
+    if np.linalg.svd(w + eye, compute_uv=False)[-1] < LOG_MIN_GAP:
+        raise FloatingPointError(
+            "matrix logarithm: W has an eigenvalue at -1, where no principal branch exists"
+        )
     x = np.linalg.solve(w + eye, w - eye)
-    x2 = x @ x
-    term, total = x, x.copy()
-    for j in range(3, 64, 2):
-        term = term @ x2
-        total += term / j
-        if np.abs(term).max() <= 1e-17 * np.abs(total).max():
-            break
-    return 2.0 ** (roots + 1) * total
+    u, s, vh = np.linalg.svd(0.5j * (x - x.conj().T))
+    return (u * (-2j * np.arctan(s))) @ vh
 
 
 def parallel_transport(loop: LoopPath, m: int) -> Tuple[np.ndarray, float, np.ndarray]:

@@ -3,14 +3,14 @@
 Matrices over C are treated as vectors over R (real and imaginary parts
 concatenated), so the reported dimension is the real dimension of the
 smallest real Lie algebra containing the generators.  The closure keeps one
-orthonormal real basis of the span so far, from one SVD (`_span`, which also
-gives `numerical_rank`); a round commutes all pairs of that basis with one
-batched product and spans the basis together with the commutators that are
-more than roundoff.  Everything it spans is first replaced by its
-anti-hermitian part (X - X+)/2, so the answer lies in u(m) and is at most
-m^2 by construction.  The basis is projected too: a direction with a small
-singular value carries roundoff outside the span, up to eps over that
-singular value, and counted again it would leave u(m).
+orthonormal real basis of the span so far, from one SVD (`_span`); a round
+commutes all pairs of that basis with one batched product and spans the
+basis together with the commutators that are more than roundoff.
+Everything it spans is first replaced by its anti-hermitian part
+(X - X+)/2, so the answer lies in u(m) and is at most m^2 by construction.
+The basis is projected too: a direction with a small singular value
+carries roundoff outside the span, up to eps over that singular value, and
+counted again it would leave u(m).
 """
 from __future__ import annotations
 
@@ -57,12 +57,6 @@ def _span(stack: np.ndarray) -> np.ndarray:
     _, s, vh = np.linalg.svd(np.concatenate([flat.real, flat.imag], axis=1), full_matrices=False)
     r = int(np.sum(s > RANK_RTOL * s.max(initial=0.0)))
     return (vh[:r, :half] + 1j * vh[:r, half:]).reshape(r, rows, cols)
-
-
-def numerical_rank(mats: Sequence[np.ndarray]) -> int:
-    """Rank of the stacked real vectors, each normalized to unit max-abs so
-    small commutators are not drowned by the singular-value threshold."""
-    return len(_span(np.asarray(mats))) if len(mats) else 0
 
 
 def real_lie_closure(gens: Sequence[np.ndarray]) -> int:

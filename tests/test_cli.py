@@ -318,20 +318,42 @@ def test_log_failure_exit_code(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("numerical failure: matrix logarithm")
 
 
-def test_cli_import_loads_no_scipy():
-    """The package needs numpy only; importing the CLI loads no scipy module."""
+def run_python(*args):
+    """A fresh interpreter on the package's source tree, warnings as errors."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    code = (
-        "import sys, berry_holonomy.cli; "
-        "print([k for k in sys.modules if k.split('.')[0] == 'scipy'])"
+    env["PYTHONWARNINGS"] = "error"
+    return subprocess.run(
+        [sys.executable, *args], capture_output=True, text=True, timeout=60, env=env
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True, timeout=60, env=env
+
+
+def test_cli_import_loads_no_scipy():
+    """The package needs numpy only; importing the CLI loads no scipy module."""
+    proc = run_python(
+        "-c",
+        "import sys, berry_holonomy.cli; "
+        "print([k for k in sys.modules if k.split('.')[0] == 'scipy'])",
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_module_entry_point_irreducibility():
+    """`python -m berry_holonomy.cli` runs a command through the module's
+    __main__ guard and prints exactly the irreducibility payload keys."""
+    proc = run_python("-m", "berry_holonomy.cli", "irreducibility", "--m", "2")
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)["payload"]
+    assert set(payload) == {
+        "algebra_dim",
+        "curvature_span_dim",
+        "irreducible",
+        "m",
+        "u_m_dim",
+        "version",
+    }
 
 
 @pytest.mark.parametrize("command", ["connection", "curvature"])
@@ -448,7 +470,6 @@ def test_irreducibility_m2(tmp_path):
     assert payload["algebra_dim"] == 4
     assert payload["curvature_span_dim"] == 4
     assert payload["irreducible"] is True
-    assert payload["consistent"] is True
 
 
 def test_irreducibility_m6(tmp_path):

@@ -38,7 +38,6 @@ PUBLIC_NAMES = {
     "transported_curvature_dimension",
     # Lie closure
     "ClosureNotStabilized",
-    "numerical_rank",
     "real_lie_closure",
     # the finite-difference oracle
     "OracleResult",
@@ -59,4 +58,4 @@ def test_public_names_are_pinned():
         if not name.startswith("_") and not isinstance(value, types.ModuleType)
     }
     assert exposed == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 35
+    assert len(PUBLIC_NAMES) == 34
