@@ -11,7 +11,6 @@ from .connection import (
     ConnectionMatrices,
     connection_closed,
     contract_one_form,
-    loop_one_form,
 )
 from .curvature import (
     COMPONENT_KEYS,
@@ -35,6 +34,7 @@ from .holonomy import (
     LoopPath,
     holonomy_algebra_dimension,
     lambda_circle,
+    loop_one_form,
     parallel_transport,
     polygon_loop,
     small_loop_check,

@@ -19,7 +19,7 @@ the number basis:
 Every function here is array-valued: a ParameterPoint whose lam and mu are
 arrays (of one shape, or broadcastable) is a batch of points, and the
 matrices come back stacked with shape (..., m, m).  A scalar point gives
-plain m x m matrices.  `loop_one_form` evaluates a whole loop in one call.
+plain m x m matrices.
 
 All scalar profiles are even or odd in |mu| and analytic at mu = 0; below
 |mu| = 1e-4 they take a Taylor series instead, chosen per entry by
@@ -28,7 +28,7 @@ never divides 0/0.
 """
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Tuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -108,20 +108,22 @@ def connection_closed(p: ParameterPoint, m: int) -> ConnectionMatrices:
     return ConnectionMatrices(a_lam, a_mu)
 
 
-def contract_one_form(cm: ConnectionMatrices, dlam, dmu) -> np.ndarray:
+def contract_one_form(cm: ConnectionMatrices, dlam, dmu, out=None) -> np.ndarray:
     """A(v) for tangents v = (dlam, dmu), one per point of the batch;
     conjugate legs enter as -A+, so A(v) = X - X+ with
-    X = A_lam dlam + A_mu dmu."""
+    X = A_lam dlam + A_mu dmu.
+
+    `out`, when given, receives A(v): an array of the result's shape in any
+    memory layout, such as a transposed view of a stack laid out for
+    `holonomy.transport`.  It is filled in its own memory order, because
+    numpy reads a transposed operand faster than it writes one.
+    """
     cell = lambda z: np.asarray(z)[..., None, None]
-    out = cm.a_lambda * cell(dlam) + cm.a_mu * cell(dmu)
-    return out - np.swapaxes(out, -1, -2).conj()
-
-
-def loop_one_form(loop, m: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Step lengths h, shape (steps,), and the contracted one-form
-    A(gamma') at the two Gauss nodes of every step of `loop.gauss_steps()`,
-    shape (steps, 2, m, m), from one batched evaluation.  Every loop
-    integral sums over these nodes."""
-    h, nodes = loop.gauss_steps()
-    cm = connection_closed(loop.point_at(nodes), m)
-    return h, contract_one_form(cm, *loop.velocity_at(nodes))
+    x = cm.a_lambda * cell(dlam) + cm.a_mu * cell(dmu)
+    if out is None:
+        out = np.empty_like(x)
+    order = np.argsort(out.strides, kind="stable")[::-1]
+    filled = out.transpose(order)
+    np.conjugate(np.swapaxes(x, -1, -2).transpose(order), out=filled)
+    np.subtract(x.transpose(order), filled, out=filled)
+    return out

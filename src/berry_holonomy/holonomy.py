@@ -6,20 +6,29 @@ Casas, Oteo & Ros 2009) and restores exact unitarity by one polar
 projection at the end.  The step exponentials, the Magnus radius guard and
 the product of the steps are batched numpy operations on the stack of
 steps, with no Python loop over the steps and no linear solve.  Stacks are
-laid out (m, m, steps), and every product of two stacks goes through
-`_stack_matmul`: an elementwise sum over k for small m, numpy's stacked
-matmul above ELEMENTWISE_MAX_M.  The exponentials are truncated Taylor
-series of the lowest degree whose range covers the stack's largest 1-norm,
-and the guard needs eigenvalues only when some step's Frobenius norm
-reaches pi.
+laid out (m, m, *batch, steps), and every product of two stacks goes
+through `_stack_matmul`: an elementwise sum over k for small m, numpy's
+stacked matmul above ELEMENTWISE_MAX_M.  The exponentials are truncated
+Taylor series of the lowest degree whose range covers the stack's largest
+1-norm, and the guard needs eigenvalues only when some step's Frobenius
+norm reaches pi.
 `logm` is the principal logarithm of a unitary matrix.  The module needs
 nothing beyond numpy.
 `LoopPath.gauss_steps` places the nodes of every loop integral strictly
 inside the loop's smooth pieces, never on a corner.  A loop's `point_at`
-and `velocity_at` take arrays of t, so `connection.loop_one_form`
-evaluates the closed connection at all nodes in one call, and
-`parallel_transport` takes W, the abelian diagonal phases and the path
-length from that one evaluation.
+and `velocity_at` take arrays of t, so `loop_one_form` evaluates the
+closed connection at all nodes in one call, and `parallel_transport`
+takes W, the abelian diagonal phases and the path length from that one
+evaluation.
+
+A batch of loops is one LoopPath whose points are arrays with the batch
+shape in front, as a ParameterPoint of arrays is a batch of points;
+`LoopPath.batch` makes one from loops that share a step grid.  One
+`transport` call takes the whole batch through the same integrator as a
+single loop, which is a batch of shape (), and returns its W stacked
+behind the batch shape.  Short loops gain most: a square of 16 steps a
+side pays numpy's per-operation overhead on 64 steps, a batch of twelve
+such squares pays it once on 768.
 
 For a small coordinate square of side eps spanned by tangents (u, v),
 log W = -F(u, v) eps^2 + O(eps^3); halving eps divides the residual against
@@ -42,20 +51,24 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .connection import loop_one_form
+from .connection import connection_closed, contract_one_form
 from .curvature import PLANE_TANGENTS, contract_two_form, curvature_closed, plane_contractions
 from .family import ParameterPoint
 from .lie import real_lie_closure
 
 # steps per side of the squares whose logarithm `small_loop_check` compares
 CHECK_STEPS_PER_SIDE = 384
-# side and steps per side of the small loops of `holonomy_algebra_dimension`
+# side and steps per side of the small loops of `holonomy_algebra_dimension`.
+# |log W| is about ALGEBRA_EPS^2, so roundoff leaves the logs a relative
+# floor of about 1e-12.  16 is the least power of two whose logs sit at that
+# floor (against 1024 steps a side) at every m from 2 to 16; 8 does up to
+# m = 12, and at m = 16 reads twice the floor.
 ALGEBRA_EPS = 1e-2
-ALGEBRA_STEPS_PER_SIDE = 128
+ALGEBRA_STEPS_PER_SIDE = 16
 # steps of the segment that carries each center's generators to the origin
 SEGMENT_STEPS = 256
 # least singular value of W + I that `logm` accepts: below it W has an
@@ -85,8 +98,10 @@ class LoopPath:
 
     `point_at` maps an array of t in [0, 1] to a ParameterPoint whose lam
     and mu broadcast to the shape of t, and `velocity_at` gives the
-    t-derivative (dlam, dmu) the same way.  `breakpoints` split [0, 1] into
-    pieces that are smooth inside (the sides of a polygon).
+    t-derivative (dlam, dmu) the same way.  A batch of loops puts its batch
+    shape in front of the shape of t.  `breakpoints` split [0, 1] into
+    pieces that are smooth inside (the sides of a polygon); `samples` is the
+    step count of one loop.
     """
 
     point_at: Callable[[np.ndarray], ParameterPoint]
@@ -111,6 +126,63 @@ class LoopPath:
         h, mid = np.concatenate(hs), np.concatenate(mids)
         off = h / (2.0 * math.sqrt(3.0))
         return h, np.stack([mid - off, mid + off], axis=1)
+
+    @classmethod
+    def batch(cls, loops: Iterable["LoopPath"]) -> "LoopPath":
+        """The loops as one path of batch shape (len(loops),).
+
+        Its `point_at` and `velocity_at` stack the loops' values along a
+        leading axis, so `transport` of it returns one W per loop, shape
+        (len(loops), m, m).  The loops must share one step grid (equal
+        `samples`, `breakpoints` and `closed`), else ValueError.
+        """
+        loops = list(loops)
+        grids = {(p.samples, p.breakpoints, p.closed) for p in loops}
+        if len(grids) != 1:
+            raise ValueError(
+                "the loops of a batch need equal step counts "
+                "(equal samples, breakpoints and closed)"
+            )
+
+        def stacked(t, values) -> np.ndarray:
+            out = np.empty((len(loops),) + np.shape(t), dtype=complex)
+            for k, v in enumerate(values):
+                out[k] = v
+            return out
+
+        def param(t) -> ParameterPoint:
+            points = [p.point_at(t) for p in loops]
+            return ParameterPoint(
+                stacked(t, [q.lam for q in points]), stacked(t, [q.mu for q in points])
+            )
+
+        def vel(t) -> Tuple[np.ndarray, np.ndarray]:
+            pairs = [p.velocity_at(t) for p in loops]
+            return stacked(t, [d for d, _ in pairs]), stacked(t, [d for _, d in pairs])
+
+        samples, breakpoints, closed = grids.pop()
+        return cls(param, vel, samples, closed, breakpoints)
+
+
+def loop_one_form(loop: LoopPath, m: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Step lengths h, shape (steps,), and the contracted one-form
+    A(gamma') at the two Gauss nodes of every step of `loop.gauss_steps()`,
+    shape (2, m, m, *batch, steps), from one batched evaluation.  Every loop
+    integral sums over these nodes.
+
+    Up to ELEMENTWISE_MAX_M the array is contiguous with the steps last,
+    the layout `_stack_matmul` reads there, and `contract_one_form` writes
+    it directly; above, it is a view of the contraction in which every
+    step's matrix is contiguous.
+    """
+    h, nodes = loop.gauss_steps()
+    cm = connection_closed(loop.point_at(nodes), m)
+    velocity = loop.velocity_at(nodes)
+    if m > ELEMENTWISE_MAX_M:
+        return h, np.moveaxis(contract_one_form(cm, *velocity), (-3, -2, -1), (0, 1, 2))
+    a = np.empty((2, m, m) + cm.a_lambda.shape[:-3], dtype=complex)
+    contract_one_form(cm, *velocity, out=np.moveaxis(a, (0, 1, 2), (-3, -2, -1)))
+    return h, a
 
 
 def lambda_circle(
@@ -184,18 +256,23 @@ def square_loop(
     return polygon_loop(verts, samples_per_side=samples_per_side, closed=True)
 
 
+def _matrices_last(stack: np.ndarray) -> np.ndarray:
+    """An (m, m, ...) stack as the (..., m, m) view numpy's linalg reads."""
+    return np.moveaxis(stack, (0, 1), (-2, -1))
+
+
 def _stack_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b for every step of two (m, m, steps) stacks.
+    """a @ b for every step of two (m, m, *batch, steps) stacks.
 
     Up to ELEMENTWISE_MAX_M row i is the sum over k of a[i, k] * b[k, :],
-    each term one vector operation over the row and the steps, so no step
-    pays numpy's per-matrix dispatch; such stacks are fastest with the steps
-    contiguous.  Above it the steps go to numpy's stacked matmul, which
-    wants each step's matrix contiguous instead.
+    each term one vector operation over the row, the batch and the steps,
+    so no step pays numpy's per-matrix dispatch; such stacks are fastest
+    with the steps contiguous.  Above it the steps go to numpy's stacked
+    matmul, which wants each step's matrix contiguous instead.
     """
     m = a.shape[0]
     if m > ELEMENTWISE_MAX_M:
-        return (a.transpose(2, 0, 1) @ b.transpose(2, 0, 1)).transpose(1, 2, 0)
+        return np.moveaxis(_matrices_last(a) @ _matrices_last(b), (-2, -1), (0, 1))
     out = np.empty(a.shape, dtype=complex)
     for i in range(m):
         row = out[i]
@@ -206,7 +283,7 @@ def _stack_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp of every matrix of an (m, m, steps) stack by its truncated Taylor
+    """exp of every matrix of an (m, m, ...) stack by its truncated Taylor
     series, evaluated by Paterson-Stockmeyer (SIAM J. Comput. 2:60, 1973).
 
     The degree k is chosen once for the stack: the lowest in _TAYLOR whose
@@ -250,13 +327,16 @@ def transport(
     loop: LoopPath, m: int, *, one_form: Optional[Tuple[np.ndarray, np.ndarray]] = None
 ) -> np.ndarray:
     """Fourth-order Gauss-Magnus transport along the full path; one polar
-    projection at the end.
+    projection at the end.  A batch of loops (`LoopPath.batch`) gives its
+    W stacked behind the batch shape, (*batch, m, m); a single loop gives
+    one m x m W.
 
     Every step is exp(Omega), Omega = -h/2 (A1 + A2) + sqrt(3) h^2/12
     [A2, A1] from the one-form at its two Gauss nodes; `_expm` takes the
-    whole stack of Omega at once, and the ordered product of the steps is
-    taken pairwise, halving the stack with one `_stack_matmul` per level
-    (the last step of an odd stack multiplies the last pair).
+    whole (m, m, *batch, steps) stack of Omega at once, and the ordered
+    product of the steps is taken pairwise, halving the steps axis with one
+    `_stack_matmul` per level (the last step of an odd stack multiplies the
+    last pair), so no two loops' steps are ever multiplied together.
     `one_form` is `loop_one_form(loop, m)` when the caller has it already.
     The polar projection removes the roundoff that the product of many
     steps accumulates, which would otherwise reach the logarithm of a small
@@ -267,9 +347,7 @@ def transport(
     the eigenvalues (`eigvalsh` on the stack) are taken only when some
     step's |Omega|_F is pi or more.
     """
-    h, a = loop_one_form(loop, m) if one_form is None else one_form
-    a = np.moveaxis(a, 0, -1)
-    a1, a2 = np.ascontiguousarray(a) if m <= ELEMENTWISE_MAX_M else a
+    h, (a1, a2) = loop_one_form(loop, m) if one_form is None else one_form
     omega = _stack_matmul(a2, a1) - _stack_matmul(a1, a2)
     omega *= (math.sqrt(3.0) / 12.0) * h * h
     omega -= 0.5 * h * (a1 + a2)
@@ -277,7 +355,7 @@ def transport(
         np.isfinite(omega).all()
         and (
             np.linalg.norm(omega, axis=(0, 1)).max() < math.pi
-            or np.abs(np.linalg.eigvalsh(1j * np.moveaxis(omega, -1, 0))).max() < math.pi
+            or np.abs(np.linalg.eigvalsh(1j * _matrices_last(omega))).max() < math.pi
         )
     ):
         raise FloatingPointError(
@@ -288,9 +366,10 @@ def transport(
         n = steps.shape[-1]
         paired = _stack_matmul(steps[..., 1::2], steps[..., 0 : n - 1 : 2])
         if n % 2:
-            paired[..., -1] = steps[..., -1] @ paired[..., -1]
+            last = _matrices_last(paired[..., -1])
+            last[...] = _matrices_last(steps[..., -1]) @ last
         steps = paired
-    uu, _, vh = np.linalg.svd(steps[..., 0])
+    uu, _, vh = np.linalg.svd(_matrices_last(steps[..., 0]))
     return uu @ vh
 
 
@@ -335,7 +414,7 @@ def parallel_transport(loop: LoopPath, m: int) -> Tuple[np.ndarray, float, np.nd
     return (
         transport(loop, m, one_form=(h, a)),
         float(0.5 * np.dot(np.repeat(h, 2), speed.ravel())),
-        0.5 * np.einsum("s,snii->i", h, a).imag,
+        0.5 * np.einsum("niis,s->i", a, h).imag,
     )
 
 
@@ -343,59 +422,54 @@ def small_loop_check(
     center: ParameterPoint, plane: str, eps: float, m: int
 ) -> Tuple[float, float, float]:
     """(residual, half_residual, ratio): log W against -eps^2 F(u, v) at eps
-    and at eps/2, each square with CHECK_STEPS_PER_SIDE steps a side, and
-    their ratio, which a third-order remainder puts near 8.
+    and at eps/2, the two squares one batch with CHECK_STEPS_PER_SIDE steps
+    a side, and their ratio, which a third-order remainder puts near 8.
     """
     if not (1e-4 <= eps <= 1e-2):
         raise ValueError("eps out of the supported range")
     u, v = PLANE_TANGENTS[plane]
     f_uv = contract_two_form(curvature_closed(center, m), u, v)
-
-    def residual(e: float) -> float:
-        loop = square_loop(center, plane, e, samples_per_side=CHECK_STEPS_PER_SIDE)
-        w = transport(loop, m)
-        return float(np.abs(logm(w) + f_uv * e * e).max())
-
-    r_full = residual(eps)
-    r_half = residual(eps / 2.0)
+    sides = (eps, eps / 2.0)
+    squares = LoopPath.batch(square_loop(center, plane, e, CHECK_STEPS_PER_SIDE) for e in sides)
+    r_full, r_half = (
+        float(np.abs(logm(w) + f_uv * e * e).max()) for w, e in zip(transport(squares, m), sides)
+    )
     return r_full, r_half, (r_full / r_half if r_half > 0 else float("inf"))
 
 
-def _based_closure(
-    centers: Sequence[ParameterPoint],
-    m: int,
-    generators: Callable[[ParameterPoint], List[np.ndarray]],
-) -> int:
-    """Real dimension of the closure of `generators(c)` over the centers c
-    (centers outer, generators inner), each conjugated back to the origin as
-    w+ x w by the transport w along the straight segment from the origin to
-    c in SEGMENT_STEPS steps."""
-    els: List[np.ndarray] = []
-    for c in centers:
-        w = transport(polygon_loop([ParameterPoint(0.0, 0.0), c], SEGMENT_STEPS, closed=False), m)
-        els.extend(w.conj().T @ x @ w for x in generators(c))
-    return real_lie_closure(els)
+def _based_closure(centers: Sequence[ParameterPoint], m: int, generators: np.ndarray) -> int:
+    """Real dimension of the closure of `generators`, a (centers, k, m, m)
+    stack of k matrices at each center (centers outer, generators inner),
+    each conjugated back to the origin as w+ x w by the transport w along
+    the straight segment from the origin to its center in SEGMENT_STEPS
+    steps; the segments are one batch."""
+    origin = ParameterPoint(0.0, 0.0)
+    segments = LoopPath.batch(
+        polygon_loop([origin, c], SEGMENT_STEPS, closed=False) for c in centers
+    )
+    w = transport(segments, m)[:, None]
+    based = np.swapaxes(w.conj(), -1, -2) @ generators @ w
+    return real_lie_closure(based.reshape(-1, m, m))
 
 
 def holonomy_algebra_dimension(centers: Sequence[ParameterPoint], m: int) -> int:
     """Real dimension of the algebra generated by based small-loop logs.
 
     Every center contributes six square loops of side ALGEBRA_EPS (one per
-    coordinate plane, ALGEBRA_STEPS_PER_SIDE steps a side); each log W is
-    conjugated back to the origin before entering the closure.  Raises
-    ClosureNotStabilized when CLOSURE_ROUNDS commutator rounds keep finding
-    new directions.
+    coordinate plane, ALGEBRA_STEPS_PER_SIDE steps a side), all transported
+    as one batch; each log W is conjugated back to the origin before
+    entering the closure.  Raises ClosureNotStabilized when CLOSURE_ROUNDS
+    commutator rounds keep finding new directions.
     """
     if len(centers) < 2:
         raise ValueError("need at least two centers")
-
-    def loop_logs(c: ParameterPoint) -> List[np.ndarray]:
-        return [
-            logm(transport(square_loop(c, plane, ALGEBRA_EPS, ALGEBRA_STEPS_PER_SIDE), m))
-            for plane in PLANE_TANGENTS
-        ]
-
-    return _based_closure(centers, m, loop_logs)
+    squares = LoopPath.batch(
+        square_loop(c, plane, ALGEBRA_EPS, ALGEBRA_STEPS_PER_SIDE)
+        for c in centers
+        for plane in PLANE_TANGENTS
+    )
+    logs = [logm(w) for w in transport(squares, m)]
+    return _based_closure(centers, m, np.reshape(logs, (len(centers), len(PLANE_TANGENTS), m, m)))
 
 
 def transported_curvature_dimension(centers: Sequence[ParameterPoint], m: int) -> int:
@@ -403,7 +477,7 @@ def transported_curvature_dimension(centers: Sequence[ParameterPoint], m: int) -
     the origin (Ambrose-Singer).
 
     At every center the six plane contractions of the closed curvature are
-    conjugated back to the origin along the segment that
+    conjugated back to the origin along the segments that
     `holonomy_algebra_dimension` uses, then closed under commutators.  This
     needs no loop transport or matrix logarithm, so it is an independent
     check on the loop route.  Raises ClosureNotStabilized when
@@ -412,4 +486,4 @@ def transported_curvature_dimension(centers: Sequence[ParameterPoint], m: int) -
     if not centers:
         raise ValueError("need at least one center")
 
-    return _based_closure(centers, m, lambda c: plane_contractions(c, m))
+    return _based_closure(centers, m, np.array([plane_contractions(c, m) for c in centers]))

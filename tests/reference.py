@@ -17,11 +17,10 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from berry_holonomy.connection import loop_one_form
 from berry_holonomy.curvature import CurvatureForm, curvature_closed, leg_pairs
 from berry_holonomy.family import ParameterPoint, classifying_projector, vacuum_frame
 from berry_holonomy.fock import apply_factors
-from berry_holonomy.holonomy import LoopPath
+from berry_holonomy.holonomy import LoopPath, loop_one_form
 from berry_holonomy.lie import CLOSURE_ROUNDS, RANK_RTOL, ClosureNotStabilized
 from berry_holonomy.numeric import STEP, _dagger, wirtinger_derivative
 
@@ -302,7 +301,9 @@ def matmul_transport(
     [A2, A1] from the one-form at its two Gauss nodes; `pade_expm` takes the
     whole stack of Omega at once, and the ordered product of the steps is
     taken pairwise, halving the stack with one batched matmul per level.
-    `one_form` is `loop_one_form(loop, m)` when the caller has it already.
+    `one_form` is `loop_one_form(loop, m)` when the caller has it already;
+    the loop is a single one, and its (2, m, m, steps) one-form is read as
+    two (steps, m, m) stacks.
     The polar projection removes the roundoff that the product of many
     steps accumulates, which would otherwise reach the logarithm of a small
     loop.  Raises FloatingPointError when Omega is not finite or a step's
@@ -313,7 +314,7 @@ def matmul_transport(
     step's |Omega|_F is pi or more.
     """
     h, a = loop_one_form(loop, m) if one_form is None else one_form
-    a1, a2 = a[:, 0], a[:, 1]
+    a1, a2 = np.moveaxis(a, -1, 1)
     hh = h[:, None, None]
     omega = -0.5 * hh * (a1 + a2) + (math.sqrt(3.0) / 12.0) * hh * hh * (a2 @ a1 - a1 @ a2)
     if not (

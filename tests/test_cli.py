@@ -311,9 +311,13 @@ def test_closure_failure_exit_code(monkeypatch, capsys):
 def test_log_failure_exit_code(monkeypatch, capsys):
     """A loop holonomy with an eigenvalue at -1 has no principal log: the
     irreducibility check exits 3 with a message naming the logarithm."""
-    monkeypatch.setattr(
-        "berry_holonomy.holonomy.transport", lambda loop, m, **kw: -np.eye(m, dtype=complex)
-    )
+
+    def minus_identity(loop, m, **kw):
+        """-I for every loop of the batch."""
+        batch = np.shape(loop.point_at(0.0).lam)
+        return np.broadcast_to(-np.eye(m, dtype=complex), batch + (m, m))
+
+    monkeypatch.setattr("berry_holonomy.holonomy.transport", minus_identity)
     assert main(["irreducibility", "--m", "2"]) == 3
     assert capsys.readouterr().err.startswith("numerical failure: matrix logarithm")
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from berry_holonomy import (
     ClosureNotStabilized,
+    LoopPath,
     ParameterPoint,
     holonomy_algebra_dimension,
     lambda_circle,
@@ -17,8 +18,8 @@ from berry_holonomy import (
     transport,
     transported_curvature_dimension,
 )
+from berry_holonomy import holonomy
 from berry_holonomy.cli import SPAN_SAMPLE_POINTS, main
-from berry_holonomy.connection import loop_one_form
 from berry_holonomy.curvature import curvature_span_dimension
 from berry_holonomy.holonomy import (
     ALGEBRA_EPS,
@@ -28,6 +29,7 @@ from berry_holonomy.holonomy import (
     _expm,
     _stack_matmul,
     logm,
+    loop_one_form,
 )
 from berry_holonomy.lie import real_lie_closure
 from reference import _PADE_LOW, _THETA13, matmul_transport
@@ -366,8 +368,9 @@ def _rotated(eigenvalues):
     ids=["diag", "minus-identity", "rotated"],
 )
 def test_logm_rejects_eigenvalue_at_minus_one(w):
-    """No principal log exists; the root loop stops with an error instead
-    of spinning or returning another branch."""
+    """No principal log exists; the singular-value check on W + I stops
+    `logm` with an error before the Cayley solve, instead of returning
+    another branch."""
     with pytest.raises(FloatingPointError, match="matrix logarithm: W has an eigenvalue at -1"):
         logm(w)
 
@@ -399,7 +402,7 @@ def test_transport_matches_sequential_scipy_product():
     w <- expm(Omega_k) w with scipy's expm, on a polygon whose mu varies."""
     loop = polygon_loop(LOOP_A, samples_per_side=101)
     h, a = loop_one_form(loop, 3)
-    a1, a2 = a[:, 0], a[:, 1]
+    a1, a2 = np.moveaxis(a, -1, 1)
     hh = h[:, None, None]
     omega = -0.5 * hh * (a1 + a2) + (math.sqrt(3.0) / 12.0) * hh * hh * (a2 @ a1 - a1 @ a2)
     w = np.eye(3, dtype=complex)
@@ -440,13 +443,88 @@ def test_transport_matches_reference(name, m):
     assert np.abs(transport(loop, m, one_form=one_form) - want).max() < 1e-13
 
 
+def _batch_cases():
+    """Loops that share a step grid: circles of 5 steps and open segments
+    of 7 (odd counts, so a last step is left over at some level of the
+    pairwise product), and squares at mixed centers and planes.  The
+    circles' radii run from 1e-3 to 0.1, so the smallest one's steps take
+    a higher Taylor degree in the batch than alone."""
+    circles = [
+        lambda_circle(0.05, 0.5j, samples=5),
+        lambda_circle(0.1, 1.0, samples=5, center=0.2 - 0.1j),
+        lambda_circle(1e-3, 0.0, samples=5),
+    ]
+    segments = [
+        polygon_loop([ParameterPoint(0.0, 0.0), c], samples_per_side=7, closed=False)
+        for c in CENTERS + (ParameterPoint(-0.4 + 0.1j, 0.2 - 0.3j),)
+    ]
+    squares = [
+        square_loop(c, plane, ALGEBRA_EPS, 16)
+        for c, plane in zip(CENTERS * 3, PLANE_TANGENTS)
+    ]
+    return {"circles-5-steps": circles, "segments-7-steps": segments, "squares": squares}
+
+
+@pytest.mark.parametrize("m", [2, 4, 5, 8])
+@pytest.mark.parametrize("name", list(_batch_cases()))
+def test_batched_transport_matches_single_loops(name, m):
+    """Each W of a batch equals the transport of its loop alone, on both
+    sides of ELEMENTWISE_MAX_M."""
+    loops = _batch_cases()[name]
+    ws = transport(LoopPath.batch(loops), m)
+    assert ws.shape == (len(loops), m, m)
+    for loop, w in zip(loops, ws):
+        assert np.abs(w - transport(loop, m)).max() < 1e-14
+
+
+def test_batch_needs_equal_step_counts():
+    """Loops with unequal step counts, or equal counts on other pieces,
+    cannot share one batch."""
+    square = square_loop(CENTERS[0], "lm", 1e-2, 16)
+    with pytest.raises(ValueError, match="equal step counts"):
+        LoopPath.batch([square, square_loop(CENTERS[1], "lm", 1e-2, 32)])
+    with pytest.raises(ValueError, match="equal step counts"):
+        LoopPath.batch([square, lambda_circle(0.5, samples=64)])
+
+
+def _algebra_loop_logs(m, steps_per_side):
+    squares = LoopPath.batch(
+        square_loop(c, plane, ALGEBRA_EPS, steps_per_side)
+        for c in CENTERS
+        for plane in PLANE_TANGENTS
+    )
+    return np.array([logm(w) for w in transport(squares, m)])
+
+
+def test_algebra_loop_logs_at_equal_accuracy(monkeypatch):
+    """ALGEBRA_STEPS_PER_SIDE is sized at the roundoff floor of the loop
+    logs: |log W| is about eps^2 = 1e-4, so machine eps leaves about 1e-12
+    of it.  At m = 3 the twelve logs at 2 to 32 steps a side differ from
+    those at 4x the steps by 1.5e-12 to 3.9e-12 of the largest log, and by
+    3.2e-11 at one step a side, where the Magnus error shows; the gate sits
+    between.  The dimensions at m = 3..6 do not move with the step count."""
+    coarse = _algebra_loop_logs(3, ALGEBRA_STEPS_PER_SIDE)
+    fine = _algebra_loop_logs(3, 4 * ALGEBRA_STEPS_PER_SIDE)
+    assert np.abs(coarse - fine).max() < 1e-11 * np.abs(fine).max()
+    dims = [holonomy_algebra_dimension(CENTERS, m) for m in (3, 4, 5, 6)]
+    assert dims == [9, 16, 25, 36]
+    monkeypatch.setattr(holonomy, "ALGEBRA_STEPS_PER_SIDE", 4 * ALGEBRA_STEPS_PER_SIDE)
+    assert [holonomy_algebra_dimension(CENTERS, m) for m in (3, 4, 5, 6)] == dims
+
+
+def _one_step(omega):
+    """The (h, one-form) of one step of length 1 whose Omega is `omega`,
+    in the (2, m, m, steps) layout `transport` reads."""
+    return np.ones(1), np.broadcast_to(-omega[..., None], (2,) + omega.shape + (1,))
+
+
 @pytest.mark.parametrize("factor, raises", [(1 - 1e-9, False), (1 + 1e-9, True)])
 def test_transport_radius_guard(factor, raises):
     """One step whose i Omega has spectral radius pi * factor: the guard
     passes it just inside the Magnus radius and rejects it just outside."""
     m = 3
     omega = -1j * np.diag([math.pi * factor, 0.3, -1.0])
-    one_form = (np.ones(1), np.broadcast_to(-omega, (1, 2, m, m)))
+    one_form = _one_step(omega)
     loop = lambda_circle(0.5, samples=1)
     if raises:
         with pytest.raises(FloatingPointError, match="Magnus convergence radius at 1 samples"):
@@ -467,7 +545,7 @@ def test_transport_radius_guard_conjugated(factor, raises):
     m = 3
     q = _random_unitary(np.random.default_rng(17), m, math.pi)
     omega = _conjugated_step(q, factor)
-    one_form = (np.ones(1), np.broadcast_to(-omega, (1, 2, m, m)))
+    one_form = _one_step(omega)
     loop = lambda_circle(0.5, samples=1)
     if raises:
         with pytest.raises(FloatingPointError, match="Magnus convergence radius at 1 samples"):
@@ -486,7 +564,7 @@ def test_transport_guard_falls_back_to_eigenvalues(monkeypatch):
     eigvalsh = np.linalg.eigvalsh
     calls = []
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda x: calls.append(x.shape) or eigvalsh(x))
-    one_form = (np.ones(1), np.broadcast_to(-omega, (1, 2, m, m)))
+    one_form = _one_step(omega)
     w = transport(lambda_circle(0.5, samples=1), m, one_form=one_form)
     assert calls == [(1, m, m)]
     assert np.abs(w - np.diag(np.exp(np.diag(omega)))).max() < 1e-14
