@@ -56,7 +56,7 @@ from .curvature import (
     f_squared_from_wedge,
     chern_trace_forms,
 )
-from .family import ParameterPoint
+from .family import ParameterPoint, stack_points
 from .fock import bch_identity_report
 from .holonomy import (
     holonomy_algebra_dimension,
@@ -145,7 +145,7 @@ SETTINGS = (
     ("m", int, 2, "vacuum degeneracy"),
     ("dim", _dim, "auto", "truncation dimension or 'auto' (128)"),
     ("step", float, STEP, "stencil step for oracles"),
-    ("samples", int, 2048, "loop sample count"),
+    ("samples", int, 2048, "loop steps; a --loop polygon takes max(16, samples // sides) a side"),
     ("grid", str, None, "'default', 'small', or a JSON file"),
     ("out", str, None, "output file (stdout when omitted)"),
     ("format", str, "json", "json or csv"),
@@ -209,17 +209,9 @@ def _complex_arg(args: argparse.Namespace, name: str, default: complex) -> compl
     return default if text is None else parse_complex(text)
 
 
-def _stack_points(points: Sequence[ParameterPoint]) -> ParameterPoint:
-    """The points as one batch for the closed forms and the oracles."""
-    return ParameterPoint(
-        np.array([p.lam for p in points], dtype=complex),
-        np.array([p.mu for p in points], dtype=complex),
-    )
-
-
 def _batches(points: Sequence[ParameterPoint], size: int) -> List[ParameterPoint]:
     """The points as consecutive batches of at most `size`."""
-    return [_stack_points(points[i : i + size]) for i in range(0, len(points), size)]
+    return [stack_points(points[i : i + size]) for i in range(0, len(points), size)]
 
 
 def _sweep(
@@ -248,7 +240,7 @@ def _sweep(
         points = [ParameterPoint(_complex_arg(args, "lam", 0.0), _complex_arg(args, "mu", 0.0))]
     else:
         points = grid_points(cfg.grid or "default")
-    batch = _stack_points(points)
+    batch = stack_points(points)
     named = [("lambda", batch.lam), ("mu", batch.mu)] + fields(batch, cfg.m)
     text = render_points(named, cfg.format)
     return {"m": cfg.m, "points": RawJSON(text)} if cfg.format == "json" else text
@@ -304,7 +296,7 @@ def _verify(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
         seconds[name] = round(time.perf_counter() - started, 6)
         return out
 
-    batch = _stack_points(points)
+    batch = stack_points(points)
     conn = connection_closed(batch, m)
     oracle_batches = _batches(points, ORACLE_BATCH)
     oracle = timed("fine_oracle", lambda: _oracle(oracle_batches, m, cfg.dim, cfg.step))
@@ -390,7 +382,7 @@ def _holonomy(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
     w, length, phases = parallel_transport(loop, cfg.m)
     return {
         "m": cfg.m,
-        "samples": cfg.samples,
+        "samples": loop.samples,
         "w": matrix_payload(w),
         "path_length": length,
         "diagonal_phases": [float(x) for x in phases],

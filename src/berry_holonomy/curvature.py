@@ -29,7 +29,7 @@ from typing import Callable, Dict, List, Sequence, Tuple
 import numpy as np
 
 from .connection import cosh_sinh_over, csm1_over_x2, sinhc
-from .family import ParameterPoint
+from .family import ParameterPoint, stack_points
 from .lie import real_lie_closure
 
 
@@ -163,11 +163,11 @@ def chern_trace_forms(mu: complex, m: int) -> Dict[str, complex]:
     return {"tr_f_squared": tr_f2, "tr_f_wedge_tr_f": tr_wedge_of_traces}
 
 
-def plane_contractions(p: ParameterPoint, m: int) -> List[np.ndarray]:
+def plane_contractions(p: ParameterPoint, m: int) -> np.ndarray:
     """F(u, v) of the closed curvature at p for each coordinate plane, in
-    the order of PLANE_TANGENTS."""
+    the order of PLANE_TANGENTS, stacked (..., 6, m, m) behind the batch."""
     form = curvature_closed(p, m)
-    return [contract_two_form(form, u, v) for u, v in PLANE_TANGENTS.values()]
+    return np.stack([contract_two_form(form, u, v) for u, v in PLANE_TANGENTS.values()], axis=-3)
 
 
 def curvature_span_dimension(points: Sequence[ParameterPoint], m: int) -> int:
@@ -176,4 +176,4 @@ def curvature_span_dimension(points: Sequence[ParameterPoint], m: int) -> int:
     when commutator rounds keep finding new directions."""
     if not points:
         raise ValueError("need at least one sample point")
-    return real_lie_closure([x for p in points for x in plane_contractions(p, m)])
+    return real_lie_closure(plane_contractions(stack_points(points), m).reshape(-1, m, m))

@@ -22,7 +22,7 @@ directions z_1..z_k, zbar_1..zbar_k, so the frames and the oracle take both.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -63,6 +63,14 @@ class GeneralizedPoint:
 
 
 Point = ParameterPoint | GeneralizedPoint
+
+
+def stack_points(points: Sequence[ParameterPoint]) -> ParameterPoint:
+    """The points as one batch, of shape (len(points),)."""
+    return ParameterPoint(
+        np.array([p.lam for p in points], dtype=complex),
+        np.array([p.mu for p in points], dtype=complex),
+    )
 
 
 def vacuum_frame(p: Point, m: int, dim: int) -> np.ndarray:

@@ -21,14 +21,13 @@ closed connection at all nodes in one call, and `parallel_transport`
 takes W, the abelian diagonal phases and the path length from that one
 evaluation.
 
-A batch of loops is one LoopPath whose points are arrays with the batch
-shape in front, as a ParameterPoint of arrays is a batch of points;
-`LoopPath.batch` makes one from loops that share a step grid.  One
-`transport` call takes the whole batch through the same integrator as a
-single loop, which is a batch of shape (), and returns its W stacked
-behind the batch shape.  Short loops gain most: a square of 16 steps a
-side pays numpy's per-operation overhead on 64 steps, a batch of twelve
-such squares pays it once on 768.
+A polygon whose vertices are ParameterPoints of arrays is a batch of
+polygons, as a ParameterPoint of arrays is a batch of points: its points
+carry the batch shape in front.  One `transport` call takes the whole
+batch through the same integrator as a single loop, which is a batch of
+shape (), and returns its W stacked behind the batch shape.  Short loops
+gain most: a square of 16 steps a side pays numpy's per-operation
+overhead on 64 steps, a batch of twelve such squares pays it once on 768.
 
 For a small coordinate square of side eps spanned by tangents (u, v),
 log W = -F(u, v) eps^2 + O(eps^3); halving eps divides the residual against
@@ -51,13 +50,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .connection import connection_closed, contract_one_form
 from .curvature import PLANE_TANGENTS, contract_two_form, curvature_closed, plane_contractions
-from .family import ParameterPoint
+from .family import ParameterPoint, stack_points
 from .lie import real_lie_closure
 
 # steps per side of the squares whose logarithm `small_loop_check` compares
@@ -98,8 +97,9 @@ class LoopPath:
 
     `point_at` maps an array of t in [0, 1] to a ParameterPoint whose lam
     and mu broadcast to the shape of t, and `velocity_at` gives the
-    t-derivative (dlam, dmu) the same way.  A batch of loops puts its batch
-    shape in front of the shape of t.  `breakpoints` split [0, 1] into
+    t-derivative (dlam, dmu) the same way.  A batch of loops (a polygon of
+    array vertices) puts its batch shape in front of the shape of t; all
+    its loops share one step grid.  `breakpoints` split [0, 1] into
     pieces that are smooth inside (the sides of a polygon); `samples` is the
     step count of one loop.
     """
@@ -126,42 +126,6 @@ class LoopPath:
         h, mid = np.concatenate(hs), np.concatenate(mids)
         off = h / (2.0 * math.sqrt(3.0))
         return h, np.stack([mid - off, mid + off], axis=1)
-
-    @classmethod
-    def batch(cls, loops: Iterable["LoopPath"]) -> "LoopPath":
-        """The loops as one path of batch shape (len(loops),).
-
-        Its `point_at` and `velocity_at` stack the loops' values along a
-        leading axis, so `transport` of it returns one W per loop, shape
-        (len(loops), m, m).  The loops must share one step grid (equal
-        `samples`, `breakpoints` and `closed`), else ValueError.
-        """
-        loops = list(loops)
-        grids = {(p.samples, p.breakpoints, p.closed) for p in loops}
-        if len(grids) != 1:
-            raise ValueError(
-                "the loops of a batch need equal step counts "
-                "(equal samples, breakpoints and closed)"
-            )
-
-        def stacked(t, values) -> np.ndarray:
-            out = np.empty((len(loops),) + np.shape(t), dtype=complex)
-            for k, v in enumerate(values):
-                out[k] = v
-            return out
-
-        def param(t) -> ParameterPoint:
-            points = [p.point_at(t) for p in loops]
-            return ParameterPoint(
-                stacked(t, [q.lam for q in points]), stacked(t, [q.mu for q in points])
-            )
-
-        def vel(t) -> Tuple[np.ndarray, np.ndarray]:
-            pairs = [p.velocity_at(t) for p in loops]
-            return stacked(t, [d for d, _ in pairs]), stacked(t, [d for _, d in pairs])
-
-        samples, breakpoints, closed = grids.pop()
-        return cls(param, vel, samples, closed, breakpoints)
 
 
 def loop_one_form(loop: LoopPath, m: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -205,15 +169,22 @@ def polygon_loop(
     vertices: Sequence[ParameterPoint], samples_per_side: int = 384, closed: bool = True
 ) -> LoopPath:
     """Piecewise-linear loop through the vertices, last edge returning to
-    the first vertex when closed."""
+    the first vertex when closed.  Vertices whose lam and mu are arrays
+    make a batch of polygons: they broadcast to one batch shape (a scalar
+    vertex is shared by every polygon), which goes in front of the shape
+    of t."""
     verts = list(vertices)
     if len(verts) < 2:
         raise ValueError("need at least two vertices")
     pts = verts + [verts[0]] if closed else verts
-    lam = np.array([p.lam for p in pts], dtype=complex)
-    mu = np.array([p.mu for p in pts], dtype=complex)
     n = len(pts) - 1
     bps = tuple(i / n for i in range(n + 1))
+    # z[0] and z[1]: lam and mu of every vertex, shape (*batch, vertices)
+    shape = np.broadcast_shapes(*(np.shape(w) for p in pts for w in (p.lam, p.mu)))
+    z = np.empty((2,) + shape + (len(pts),), dtype=complex)
+    for k, p in enumerate(pts):
+        z[0, ..., k], z[1, ..., k] = p.lam, p.mu
+    velocities = n * (z[..., 1:] - z[..., :-1])  # constant along each side
 
     def side(t) -> Tuple[np.ndarray, np.ndarray]:
         """Index of the side each t lies on, and the fraction along it."""
@@ -224,12 +195,12 @@ def polygon_loop(
     def param(t) -> ParameterPoint:
         i, s = side(t)
         return ParameterPoint(
-            (1.0 - s) * lam[i] + s * lam[i + 1], (1.0 - s) * mu[i] + s * mu[i + 1]
+            *((1.0 - s) * np.take(w, i, axis=-1) + s * np.take(w, i + 1, axis=-1) for w in z)
         )
 
     def vel(t) -> Tuple[np.ndarray, np.ndarray]:
         i, _ = side(t)
-        return (n * (lam[i + 1] - lam[i]), n * (mu[i + 1] - mu[i]))
+        return tuple(np.take(w, i, axis=-1) for w in velocities)
 
     return LoopPath(
         point_at=param,
@@ -240,20 +211,29 @@ def polygon_loop(
     )
 
 
+def _squares(center: ParameterPoint, tangents, eps, samples_per_side: int) -> LoopPath:
+    """Squares c, c + eps u, c + eps u + eps v, c + eps v for tangent pairs
+    (u, v) of PLANE_TANGENTS, given as a (..., 2, 2) array of (dlam, dmu)
+    rows.  The center's arrays, eps and the leading axes of `tangents`
+    broadcast to the batch shape."""
+    c = np.stack(np.broadcast_arrays(center.lam, center.mu), axis=-1)
+    tangents = np.asarray(tangents, dtype=complex)
+    eps = np.asarray(eps)[..., None]
+    u, v = eps * tangents[..., 0, :], eps * tangents[..., 1, :]
+    corners = [c, c + u, c + u + v, c + v]
+    verts = [ParameterPoint(w[..., 0], w[..., 1]) for w in corners]
+    return polygon_loop(verts, samples_per_side=samples_per_side, closed=True)
+
+
 def square_loop(
     center: ParameterPoint, plane: str, eps: float, samples_per_side: int = 384
 ) -> LoopPath:
     """Coordinate square of side eps at `center` in one of the six planes
-    named by the curvature component keys."""
+    named by the curvature component keys; a batch center or an array of
+    sides makes a batch of squares."""
     if plane not in PLANE_TANGENTS:
         raise ValueError(f"unknown plane {plane!r}")
-    u, v = PLANE_TANGENTS[plane]
-    c = np.array([center.lam, center.mu])
-    uu = np.array(u, dtype=complex)
-    vv = np.array(v, dtype=complex)
-    corners = [c, c + eps * uu, c + eps * uu + eps * vv, c + eps * vv]
-    verts = [ParameterPoint(w[0], w[1]) for w in corners]
-    return polygon_loop(verts, samples_per_side=samples_per_side, closed=True)
+    return _squares(center, PLANE_TANGENTS[plane], eps, samples_per_side)
 
 
 def _matrices_last(stack: np.ndarray) -> np.ndarray:
@@ -327,9 +307,9 @@ def transport(
     loop: LoopPath, m: int, *, one_form: Optional[Tuple[np.ndarray, np.ndarray]] = None
 ) -> np.ndarray:
     """Fourth-order Gauss-Magnus transport along the full path; one polar
-    projection at the end.  A batch of loops (`LoopPath.batch`) gives its
-    W stacked behind the batch shape, (*batch, m, m); a single loop gives
-    one m x m W.
+    projection at the end.  A batch of loops (a polygon of array vertices)
+    gives its W stacked behind the batch shape, (*batch, m, m); a single
+    loop gives one m x m W.
 
     Every step is exp(Omega), Omega = -h/2 (A1 + A2) + sqrt(3) h^2/12
     [A2, A1] from the one-form at its two Gauss nodes; `_expm` takes the
@@ -429,24 +409,21 @@ def small_loop_check(
         raise ValueError("eps out of the supported range")
     u, v = PLANE_TANGENTS[plane]
     f_uv = contract_two_form(curvature_closed(center, m), u, v)
-    sides = (eps, eps / 2.0)
-    squares = LoopPath.batch(square_loop(center, plane, e, CHECK_STEPS_PER_SIDE) for e in sides)
+    sides = np.array([eps, eps / 2.0])
+    squares = square_loop(center, plane, sides, CHECK_STEPS_PER_SIDE)
     r_full, r_half = (
         float(np.abs(logm(w) + f_uv * e * e).max()) for w, e in zip(transport(squares, m), sides)
     )
     return r_full, r_half, (r_full / r_half if r_half > 0 else float("inf"))
 
 
-def _based_closure(centers: Sequence[ParameterPoint], m: int, generators: np.ndarray) -> int:
+def _based_closure(centers: ParameterPoint, m: int, generators: np.ndarray) -> int:
     """Real dimension of the closure of `generators`, a (centers, k, m, m)
-    stack of k matrices at each center (centers outer, generators inner),
-    each conjugated back to the origin as w+ x w by the transport w along
-    the straight segment from the origin to its center in SEGMENT_STEPS
-    steps; the segments are one batch."""
-    origin = ParameterPoint(0.0, 0.0)
-    segments = LoopPath.batch(
-        polygon_loop([origin, c], SEGMENT_STEPS, closed=False) for c in centers
-    )
+    stack of k matrices at each center of the batch `centers` (centers
+    outer, generators inner), each conjugated back to the origin as w+ x w
+    by the transport w along the straight segment from the origin to its
+    center in SEGMENT_STEPS steps; the segments are one polygon batch."""
+    segments = polygon_loop([ParameterPoint(0.0, 0.0), centers], SEGMENT_STEPS, closed=False)
     w = transport(segments, m)[:, None]
     based = np.swapaxes(w.conj(), -1, -2) @ generators @ w
     return real_lie_closure(based.reshape(-1, m, m))
@@ -463,13 +440,15 @@ def holonomy_algebra_dimension(centers: Sequence[ParameterPoint], m: int) -> int
     """
     if len(centers) < 2:
         raise ValueError("need at least two centers")
-    squares = LoopPath.batch(
-        square_loop(c, plane, ALGEBRA_EPS, ALGEBRA_STEPS_PER_SIDE)
-        for c in centers
-        for plane in PLANE_TANGENTS
+    c = stack_points(centers)
+    squares = _squares(
+        ParameterPoint(c.lam[:, None], c.mu[:, None]),
+        list(PLANE_TANGENTS.values()),
+        ALGEBRA_EPS,
+        ALGEBRA_STEPS_PER_SIDE,
     )
-    logs = [logm(w) for w in transport(squares, m)]
-    return _based_closure(centers, m, np.reshape(logs, (len(centers), len(PLANE_TANGENTS), m, m)))
+    ws = transport(squares, m)
+    return _based_closure(c, m, np.reshape([logm(w) for w in ws.reshape(-1, m, m)], ws.shape))
 
 
 def transported_curvature_dimension(centers: Sequence[ParameterPoint], m: int) -> int:
@@ -485,5 +464,5 @@ def transported_curvature_dimension(centers: Sequence[ParameterPoint], m: int) -
     """
     if not centers:
         raise ValueError("need at least one center")
-
-    return _based_closure(centers, m, np.array([plane_contractions(c, m) for c in centers]))
+    c = stack_points(centers)
+    return _based_closure(c, m, plane_contractions(c, m))

@@ -451,6 +451,7 @@ def test_holonomy_default_circle(tmp_path):
     code, doc = run(["holonomy", "--m", "2", "--samples", "512"], tmp_path)
     assert code == 0
     payload = doc["payload"]
+    assert payload["samples"] == 512
     assert payload["path_length"] == pytest.approx(np.pi, abs=1e-6)
     for phase in payload["diagonal_phases"]:
         assert phase == pytest.approx(2 * np.pi * 0.25, abs=1e-9)
@@ -467,33 +468,42 @@ def test_holonomy_loop_file(tmp_path):
     assert len(w) == 2 and len(w[0]) == 2
 
 
-def test_irreducibility_m2(tmp_path):
-    code, doc = run(["irreducibility", "--m", "2"], tmp_path)
+@pytest.mark.parametrize("samples, steps", [(4, 96), (4096, 4092)])
+def test_holonomy_loop_file_reports_steps_taken(tmp_path, samples, steps):
+    """A --loop polygon takes max(16, samples // sides) steps a side, and the
+    payload's samples is the steps taken: on six sides 16 x 6 = 96 for
+    --samples 4, and 682 x 6 = 4092 for --samples 4096."""
+    lf = tmp_path / "loop.json"
+    lf.write_text(
+        '[["0.3", "0"], ["0.2", "0.2"], ["0", "0.3"], ["-0.3", "0"], ["0", "-0.3"], ["0.2", "-0.2"]]'
+    )
+    argv = ["holonomy", "--m", "2", "--loop", str(lf), "--samples", str(samples)]
+    code, doc = run(argv, tmp_path)
+    assert code == 0
+    assert doc["payload"]["samples"] == steps
+
+
+@pytest.mark.parametrize(
+    "m",
+    [
+        2,
+        # 3 and 4: the m of the benchmark's irreducibility workload
+        3,
+        4,
+        # above ELEMENTWISE_MAX_M: the transports go through numpy's matmul,
+        # and the loop route still fills u(6)
+        6,
+        # from m = 9 on, the loop route's rank cut is close to RANK_RTOL; the
+        # closure stays inside u(9) and reads dim u(9), not dim gl(9, C) = 162
+        9,
+    ],
+)
+def test_irreducibility(tmp_path, m):
+    code, doc = run(["irreducibility", "--m", str(m)], tmp_path)
     assert code == 0
     payload = doc["payload"]
-    assert payload["algebra_dim"] == 4
+    assert payload["algebra_dim"] == m * m
     assert payload["curvature_span_dim"] == 4
-    assert payload["irreducible"] is True
-
-
-def test_irreducibility_m6(tmp_path):
-    """m = 6 is above ELEMENTWISE_MAX_M: the transports go through numpy's
-    matmul, and the loop route still fills u(6)."""
-    code, doc = run(["irreducibility", "--m", "6"], tmp_path)
-    assert code == 0
-    payload = doc["payload"]
-    assert payload["algebra_dim"] == 36
-    assert payload["curvature_span_dim"] == 4
-    assert payload["irreducible"] is True
-
-
-def test_irreducibility_m9(tmp_path):
-    """From m = 9 on, the loop route's rank cut is close to RANK_RTOL; the
-    closure stays inside u(9) and reads dim u(9), not dim gl(9, C) = 162."""
-    code, doc = run(["irreducibility", "--m", "9"], tmp_path)
-    assert code == 0
-    payload = doc["payload"]
-    assert payload["algebra_dim"] == 81
     assert payload["irreducible"] is True
 
 

@@ -13,7 +13,9 @@ from berry_holonomy import (
     f_squared,
     f_squared_from_wedge,
 )
-from berry_holonomy.curvature import COMPONENT_NAMES, PLANE_TANGENTS, _basis
+from berry_holonomy.cli import SPAN_SAMPLE_POINTS
+from berry_holonomy.curvature import COMPONENT_NAMES, PLANE_TANGENTS, _basis, plane_contractions
+from berry_holonomy.family import stack_points
 from reference import curvature_from_components
 
 amplitudes = st.complex_numbers(
@@ -105,6 +107,23 @@ def test_plane_contractions_antihermitian():
     for u, v in PLANE_TANGENTS.values():
         f = contract_two_form(form, u, v)
         assert np.abs(f + f.conj().T).max() < 1e-13
+
+
+@pytest.mark.parametrize("m", [2, 3, 5, 6, 9])
+def test_plane_contractions_batch_equals_pointwise(m):
+    """A batch of points gives each point's contractions, stacked (points,
+    planes, m, m).  numpy rounds some complex products of an array
+    differently from those of a single value, which moves entries by up to
+    1.8e-15 at m = 6; at m = 2, 3, 5 and 9 the two agree bit for bit."""
+    got = plane_contractions(stack_points(SPAN_SAMPLE_POINTS), m)
+    want = np.array(
+        [
+            [contract_two_form(curvature_closed(p, m), u, v) for u, v in PLANE_TANGENTS.values()]
+            for p in SPAN_SAMPLE_POINTS
+        ]
+    )
+    assert got.shape == (len(SPAN_SAMPLE_POINTS), len(PLANE_TANGENTS), m, m)
+    assert np.abs(got - want).max() <= 4 * np.finfo(float).eps * np.abs(want).max()
 
 
 def test_assembly_from_closed_field_matches():

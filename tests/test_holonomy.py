@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from berry_holonomy import (
     ClosureNotStabilized,
-    LoopPath,
     ParameterPoint,
     holonomy_algebra_dimension,
     lambda_circle,
@@ -21,12 +20,14 @@ from berry_holonomy import (
 from berry_holonomy import holonomy
 from berry_holonomy.cli import SPAN_SAMPLE_POINTS, main
 from berry_holonomy.curvature import curvature_span_dimension
+from berry_holonomy.family import stack_points
 from berry_holonomy.holonomy import (
     ALGEBRA_EPS,
     ALGEBRA_STEPS_PER_SIDE,
     PLANE_TANGENTS,
     _TAYLOR,
     _expm,
+    _squares,
     _stack_matmul,
     logm,
     loop_one_form,
@@ -443,57 +444,66 @@ def test_transport_matches_reference(name, m):
     assert np.abs(transport(loop, m, one_form=one_form) - want).max() < 1e-13
 
 
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
 def _batch_cases():
-    """Loops that share a step grid: circles of 5 steps and open segments
-    of 7 (odd counts, so a last step is left over at some level of the
-    pairwise product), and squares at mixed centers and planes.  The
-    circles' radii run from 1e-3 to 0.1, so the smallest one's steps take
+    """(batch, loops): a polygon of array vertices and its polygons one by
+    one.  Open segments of 7 steps (odd, so a last step is left over at some
+    level of the pairwise product) from the origin, a scalar vertex every
+    segment shares; squares at mixed centers and planes; and squares at one
+    center with sides from 1e-4 to 1e-1, so the smaller squares' steps take
     a higher Taylor degree in the batch than alone."""
-    circles = [
-        lambda_circle(0.05, 0.5j, samples=5),
-        lambda_circle(0.1, 1.0, samples=5, center=0.2 - 0.1j),
-        lambda_circle(1e-3, 0.0, samples=5),
-    ]
-    segments = [
-        polygon_loop([ParameterPoint(0.0, 0.0), c], samples_per_side=7, closed=False)
-        for c in CENTERS + (ParameterPoint(-0.4 + 0.1j, 0.2 - 0.3j),)
-    ]
-    squares = [
-        square_loop(c, plane, ALGEBRA_EPS, 16)
-        for c, plane in zip(CENTERS * 3, PLANE_TANGENTS)
-    ]
-    return {"circles-5-steps": circles, "segments-7-steps": segments, "squares": squares}
+    origin = ParameterPoint(0.0, 0.0)
+    ends = CENTERS + (ParameterPoint(-0.4 + 0.1j, 0.2 - 0.3j),)
+    centers = CENTERS * 3
+    sides = np.array([1e-4, 1e-3, 1e-2, 1e-1])
+    return {
+        "segments-7-steps": (
+            polygon_loop([origin, stack_points(ends)], samples_per_side=7, closed=False),
+            [polygon_loop([origin, c], samples_per_side=7, closed=False) for c in ends],
+        ),
+        "squares": (
+            _squares(stack_points(centers), list(PLANE_TANGENTS.values()), ALGEBRA_EPS, 16),
+            [square_loop(c, plane, ALGEBRA_EPS, 16) for c, plane in zip(centers, PLANE_TANGENTS)],
+        ),
+        "squares-mixed-sides": (
+            square_loop(CENTERS[1], "mlb", sides, 16),
+            [square_loop(CENTERS[1], "mlb", eps, 16) for eps in sides],
+        ),
+    }
 
 
 @pytest.mark.parametrize("m", [2, 4, 5, 8])
 @pytest.mark.parametrize("name", list(_batch_cases()))
 def test_batched_transport_matches_single_loops(name, m):
-    """Each W of a batch equals the transport of its loop alone, on both
-    sides of ELEMENTWISE_MAX_M."""
-    loops = _batch_cases()[name]
-    ws = transport(LoopPath.batch(loops), m)
+    """A polygon of array vertices is a batch of polygons: its points and
+    velocities are those of its polygons one by one, bit for bit, and each
+    W equals the transport of its loop alone, on both sides of
+    ELEMENTWISE_MAX_M."""
+    batch, loops = _batch_cases()[name]
+    _, nodes = batch.gauss_steps()
+    point, velocity = batch.point_at(nodes), batch.velocity_at(nodes)
+    ws = transport(batch, m)
     assert ws.shape == (len(loops), m, m)
-    for loop, w in zip(loops, ws):
+    for k, (loop, w) in enumerate(zip(loops, ws)):
+        one = loop.point_at(nodes)
+        assert _same_bits(point.lam[k], one.lam) and _same_bits(point.mu[k], one.mu)
+        assert all(_same_bits(v[k], u) for v, u in zip(velocity, loop.velocity_at(nodes)))
         assert np.abs(w - transport(loop, m)).max() < 1e-14
 
 
-def test_batch_needs_equal_step_counts():
-    """Loops with unequal step counts, or equal counts on other pieces,
-    cannot share one batch."""
-    square = square_loop(CENTERS[0], "lm", 1e-2, 16)
-    with pytest.raises(ValueError, match="equal step counts"):
-        LoopPath.batch([square, square_loop(CENTERS[1], "lm", 1e-2, 32)])
-    with pytest.raises(ValueError, match="equal step counts"):
-        LoopPath.batch([square, lambda_circle(0.5, samples=64)])
-
-
 def _algebra_loop_logs(m, steps_per_side):
-    squares = LoopPath.batch(
-        square_loop(c, plane, ALGEBRA_EPS, steps_per_side)
-        for c in CENTERS
-        for plane in PLANE_TANGENTS
+    c = stack_points(CENTERS)
+    squares = _squares(
+        ParameterPoint(c.lam[:, None], c.mu[:, None]),
+        list(PLANE_TANGENTS.values()),
+        ALGEBRA_EPS,
+        steps_per_side,
     )
-    return np.array([logm(w) for w in transport(squares, m)])
+    return np.array([logm(w) for w in transport(squares, m).reshape(-1, m, m)])
 
 
 def test_algebra_loop_logs_at_equal_accuracy(monkeypatch):
