@@ -45,7 +45,7 @@ from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from . import __version__
-from .connection import connection_closed
+from .connection import connection_closed, frame_moment
 from .curvature import (
     COMPONENT_KEYS,
     COMPONENT_NAMES,
@@ -273,15 +273,12 @@ def _oracle(batches: List[ParameterPoint], m: int, dim: int, h: float) -> Oracle
         [join(a) for a in zip(*(r.a for r in parts))],
         join(r.estimated_error for r in parts),
         CurvatureForm({k: join(r.curvature.components[k] for r in parts) for k in COMPONENT_KEYS}),
+        join(r.frame for r in parts),
     )
 
 
 def _verify(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
     m = cfg.m
-    coarse_dim = 3 * cfg.dim // 4
-    if m >= coarse_dim:
-        msg = "m must be smaller than the space dimension of the truncation oracle, 3*dim//4"
-        raise ConfigError(f"{msg} = {coarse_dim}")
     points = grid_points(cfg.grid or "small")
 
     def section(key: str, dev: float, default_tol: float, **extra) -> dict:
@@ -299,19 +296,19 @@ def _verify(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
     batch = stack_points(points)
     conn = connection_closed(batch, m)
     oracle_batches = _batches(points, ORACLE_BATCH)
-    oracle = timed("fine_oracle", lambda: _oracle(oracle_batches, m, cfg.dim, cfg.step))
-    # the oracle at 3D/4: how far truncation alone moves it (informational)
-    coarse = timed("coarse_oracle", lambda: _oracle(oracle_batches, m, coarse_dim, cfg.step))
+    oracle = timed("oracle", lambda: _oracle(oracle_batches, m, cfg.dim, cfg.step))
     max_abs = lambda x, y: float(np.abs(x - y).max())
     conn_dev = max(max_abs(conn.a_lambda, oracle.a[0]), max_abs(conn.a_mu, oracle.a[1]))
-    trunc = max(map(max_abs, oracle.a, coarse.a))
+    # truncation: the frame's V+ N V and V+ N^2 V against their exact values
+    nv = np.arange(cfg.dim)[:, None] * oracle.frame
+    trunc = max_abs(oracle.frame.conj().swapaxes(-1, -2) @ nv, frame_moment(batch, m, 1))
+    curv_trunc = max_abs(nv.conj().swapaxes(-1, -2) @ nv, frame_moment(batch, m, 2))
 
     curv = curvature_closed(batch, m)
-    fine, rough = oracle.curvature.components, coarse.curvature.components
+    fine = oracle.curvature.components
     per_component = {
         COMPONENT_NAMES[k]: max_abs(curv.components[k], fine[k]) for k in COMPONENT_KEYS
     }
-    curv_trunc = max(max_abs(fine[k], rough[k]) for k in COMPONENT_KEYS)
     wedge = f_squared_from_wedge(curv)
     pair_dev = max_abs(wedge, f_squared_from_wedge(oracle.curvature))
     formula_dev = max_abs(wedge, f_squared(batch.mu, m))

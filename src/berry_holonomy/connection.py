@@ -108,6 +108,21 @@ def connection_closed(p: ParameterPoint, m: int) -> ConnectionMatrices:
     return ConnectionMatrices(a_lam, a_mu)
 
 
+def frame_moment(p: ParameterPoint, m: int, power: int) -> np.ndarray:
+    """V+ N^power V = P_m O^power P_m (power >= 1), stacked (..., m, m), where
+    O = (b+ + conj(lam))(b + lam) with b = S+ a S = cosh|mu| a + s a+, s =
+    e^{i arg mu} sinh|mu|, is pentadiagonal; each O moves two levels at most,
+    so m + 2 power levels make it exact, and at the origin O = N exactly."""
+    c, s = np.cosh(np.abs(p.mu)), p.mu * sinhc(np.abs(p.mu))
+    cell = lambda z: np.asarray(z)[..., None, None]
+    n = np.arange(m + 2 * power)
+    up = np.diag(np.sqrt(n[1:]), -1)  # a+
+    low = cell(p.lam * c + np.conj(p.lam) * s) * up + cell(c * s) * (up @ up)
+    o = cell(c * c) * np.diag(n) + cell(np.abs(s) ** 2) * np.diag(n + 1) + low
+    o = o + cell(np.abs(p.lam) ** 2) * np.eye(n.size) + np.swapaxes(low.conj(), -1, -2)
+    return np.linalg.matrix_power(o, power)[..., :m, :m]
+
+
 def contract_one_form(cm: ConnectionMatrices, dlam, dmu, out=None) -> np.ndarray:
     """A(v) for tangents v = (dlam, dmu), one per point of the batch;
     conjugate legs enter as -A+, so A(v) = X - X+ with

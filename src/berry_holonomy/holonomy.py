@@ -377,15 +377,15 @@ def logm(w: np.ndarray) -> np.ndarray:
     return (u * (-2j * np.arctan(s))) @ vh
 
 
-def parallel_transport(loop: LoopPath, m: int) -> Tuple[np.ndarray, float, np.ndarray]:
+def parallel_transport(loop: LoopPath, m: int) -> Tuple[np.ndarray, float | np.ndarray, np.ndarray]:
     """(w, path_length, diagonal_phases): the holonomy W of a closed loop,
     its path length, and the abelian phases Im oint A_ii, all summed over
-    the nodes of one one-form evaluation.
+    the nodes of one one-form evaluation; a batch of loops stacks them as
+    (*batch, m, m), (*batch,) and (*batch, m).
 
     For a lam-circle of radius r at mu = 0 every phase is 2 pi r^2
     regardless of m; on any closed loop the phases sum to -arg det W
-    (mod 2 pi) up to rounding.
-    """
+    (mod 2 pi) up to rounding."""
     if not loop.closed:
         raise ValueError("holonomy requires a closed loop")
     h, a = loop_one_form(loop, m)
@@ -393,8 +393,8 @@ def parallel_transport(loop: LoopPath, m: int) -> Tuple[np.ndarray, float, np.nd
     speed = np.hypot(*map(np.abs, loop.velocity_at(nodes)))
     return (
         transport(loop, m, one_form=(h, a)),
-        float(0.5 * np.dot(np.repeat(h, 2), speed.ravel())),
-        0.5 * np.einsum("niis,s->i", a, h).imag,
+        0.5 * (speed.reshape(speed.shape[:-2] + (-1,)) @ np.repeat(h, 2)),
+        0.5 * np.einsum("nii...s,s->...i", a, h).imag,
     )
 
 

@@ -8,14 +8,14 @@ library's primary self-check.  Frames come from the factor helper
 
 `connection_numeric` is the one oracle, for either family: it takes a
 point, whose (j, z) factors it reads (see `family`), and the truncation as
-the plain number of Fock levels `dim`; it evaluates the frame and its
+the plain number of Fock levels `dim`; it evaluates the frame V and its
 Wirtinger legs d_z V, d_zbar V per factor once (`_frame_legs`), and returns
-from them the connection A_a = V+ d_a V per factor, its error estimate and
-the curvature.  The legs share work: the suffix products of the frame are
-formed once, each factor's four stencil points act on its suffix only, and
-the prefix, which does not depend on that factor's z, is applied to the
-two derivatives after the stencil.  The curvature needs first derivatives
-only: with P = V V+,
+V (its moments V+ N^k V are `connection.frame_moment`) and from the legs
+A_a = V+ d_a V per factor, its error estimate and the curvature.  The legs
+share work: the suffix products of the frame are formed once, each factor's
+four stencil points act on its suffix only, and the prefix, which does not
+depend on that factor's z, is applied to the two derivatives after the
+stencil.  The curvature needs first derivatives only: with P = V V+,
 
   F_ab = (d_abar V)+ (1 - P) d_b V - (d_bbar V)+ (1 - P) d_a V,
 
@@ -73,6 +73,7 @@ class OracleResult(NamedTuple):
     a: List[np.ndarray]  # A = V+ d_z V per factor, stacked (..., m, m)
     estimated_error: np.ndarray  # one per point of the batch
     curvature: CurvatureForm  # F_ab for every pair of legs
+    frame: np.ndarray  # V on the dim levels, stacked (..., dim, m)
 
 
 def _dagger(mat: np.ndarray) -> np.ndarray:
@@ -114,10 +115,10 @@ def _frame_legs(
 
 def connection_numeric(p: Point, m: int, dim: int, h: float = STEP) -> OracleResult:
     """Per factor the connection A = V+ d_z V; per point `estimated_error`,
-    the worst defect of the conjugate legs against the negated adjoints; and
-    the curvature F_ab (see the module note) for each pair a < b of the legs
+    the worst defect of the conjugate legs against the negated adjoints; the
+    curvature F_ab (see the module note) for each pair a < b of the legs
     z_1..z_k, zbar_1..zbar_k, keyed by `curvature.leg_pairs(p.legs)`, which
-    for a ParameterPoint are `curvature.COMPONENT_KEYS` in order."""
+    for a ParameterPoint are `curvature.COMPONENT_KEYS` in order; and V."""
     if m < 1:
         raise ValueError("m must be positive")
     if m >= dim:
@@ -135,7 +136,7 @@ def connection_numeric(p: Point, m: int, dim: int, h: float = STEP) -> OracleRes
         key: _dagger(d_conj[i]) @ off_frame[j] - _dagger(d_conj[j]) @ off_frame[i]
         for i, j, key in leg_pairs(p.legs)
     }
-    return OracleResult(a[:k], err, CurvatureForm(comp))
+    return OracleResult(a[:k], err, CurvatureForm(comp), v)
 
 
 def derivative_identity_report(z: complex) -> Tuple[float, float, float]:

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from berry_holonomy import cli
 from berry_holonomy.cli import (
     ConfigError,
     build_config,
@@ -133,18 +134,24 @@ def test_verify_default_grid_accuracy_and_section_times(tmp_path):
     assert sections["connection"]["max_dev"] <= 2.4e-9
     assert sections["curvature"]["max_dev"] <= 1.5e-8
     seconds = doc["meta"]["section_seconds"]
-    assert set(seconds) == {"fine_oracle", "coarse_oracle", "bch", "identities"}
+    assert set(seconds) == {"oracle", "bch", "identities"}
     assert all(t >= 0.0 for t in seconds.values())
     assert "meta" not in doc["payload"]
 
 
 def test_verify_oracle_batches_join_to_one_call(monkeypatch, tmp_path):
     """The default grid's 81 points in oracle batches of 7 (the last one
-    short) give the payload of the single call, byte for byte."""
+    short) give the payload of the single call, byte for byte.  The oracle
+    runs once per batch: one call for the whole grid, 12 for the split."""
+    calls = []
+    oracle = cli.connection_numeric
+    monkeypatch.setattr(cli, "connection_numeric", lambda *a: calls.append(1) or oracle(*a))
     argv = ["verify", "--m", "2", "--grid", "default"]
     _, whole = run(argv, tmp_path, "whole.json")
-    monkeypatch.setattr("berry_holonomy.cli.ORACLE_BATCH", 7)
+    assert len(calls) == 1
+    monkeypatch.setattr(cli, "ORACLE_BATCH", 7)
     _, split = run(argv, tmp_path, "split.json")
+    assert len(calls) == 1 + 12
     assert dump_json(split["payload"]) == dump_json(whole["payload"])
 
 
@@ -167,15 +174,17 @@ def test_verify_far_grid_falls_back_to_fixed_factorization_point(tmp_path):
 
 
 def test_verify_truncation_term_exceeds_stencil_estimate(tmp_path):
-    """At D = 48 the cut, not the stencil, limits the oracle: the D vs 3D/4
-    difference (5.8e-3 measured) dwarfs the conjugate-leg estimate
-    (4.6e-10), and the connection gate fails on the default grid.  The
-    curvature's D vs 3D/4 difference (4.0e-2) exceeds its deviation from
-    the closed form (4.7e-3), whose gate fails too."""
+    """At D = 48 the cut, not the stencil, limits the oracle: the frame's
+    V+ N V deviates from its closed form by 9.8e-4 (measured), 2.1 times
+    the connection's deviation (4.7e-4), and dwarfs the conjugate-leg
+    estimate (4.6e-10); the connection gate fails on the default grid.  The
+    curvature's V+ N^2 V deviation (9.6e-2) exceeds its deviation from the
+    closed form (4.7e-3), whose gate fails too."""
     code, doc = run(["verify", "--m", "2", "--dim", "48", "--grid", "default"], tmp_path)
     conn = doc["payload"]["sections"]["connection"]
     assert code == 1 and conn["passed"] is False
     assert conn["max_truncation_error"] > 1e4 * conn["max_estimated_error"]
+    assert conn["max_dev"] <= conn["max_truncation_error"] <= 2.5 * conn["max_dev"]
     curv = doc["payload"]["sections"]["curvature"]
     assert curv["passed"] is False
     assert curv["max_truncation_error"] > curv["max_dev"]
@@ -194,13 +203,10 @@ def test_bad_config_exit_codes(tmp_path, capsys):
     # no deviation can pass a tolerance of zero or below
     assert main(["verify", "--tolerance", "0"]) == 2
     assert main(["verify", "--tolerance", "-1"]) == 2
-    # the truncation oracle at 3D/4 needs m < 3D/4, also where m < D: it is
-    # named, and rejected before any oracle runs
-    for argv in (["--m", "3", "--dim", "4"], ["--m", "3", "--dim", "5"], ["--m", "1", "--dim", "2"]):
+    # the oracle needs m < D
+    for argv in (["--m", "4", "--dim", "4"], ["--m", "2", "--dim", "2"]):
         assert main(["verify"] + argv) == 2
-        err = capsys.readouterr().err
-        assert "m must be smaller than the space dimension" in err
-        assert "truncation oracle, 3*dim//4 = " in err
+        assert "m must be smaller than the space dimension" in capsys.readouterr().err
     # fewer than two levels is rejected with the settings, for any m
     assert main(["verify", "--dim", "1"]) == 2
     assert "dim must be at least 2" in capsys.readouterr().err

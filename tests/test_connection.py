@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from scipy.linalg import logm
 
 from berry_holonomy import (
@@ -14,6 +14,7 @@ from berry_holonomy import (
     curvature_closed,
     derivative_identity_report,
     f_squared,
+    vacuum_frame,
     lambda_circle,
     parallel_transport,
     square_loop,
@@ -23,6 +24,7 @@ from berry_holonomy.connection import (
     SERIES_SWITCH,
     cosh_sinh_over,
     csm1_over_x2,
+    frame_moment,
     sinhc,
     tanhc,
 )
@@ -124,6 +126,56 @@ def test_batch_equals_pointwise():
                 for key, comp in curvature_closed(p, m).components.items():
                     assert np.abs(form.components[key][k] - comp).max() <= 1e-14
                 assert np.array_equal(f2[k], f_squared(p.mu, m))
+
+
+unit_disk = st.complex_numbers(max_magnitude=1.0, allow_nan=False, allow_infinity=False)
+
+
+def _fock_moments(p, m, dim=256):
+    """V+ N V and V+ N^2 V of the Fock frame on `dim` levels."""
+    v = vacuum_frame(p, m, dim)
+    nv = np.arange(dim)[:, None] * v
+    return v.conj().T @ nv, nv.conj().T @ nv
+
+
+@given(st.integers(min_value=1, max_value=8), unit_disk, unit_disk)
+@settings(max_examples=40, deadline=None)
+def test_frame_moments_match_fock(m, lam, mu):
+    """The closed moments against the Fock frame's at D = 256, where the
+    frame is exact to roundoff for |lam|, |mu| <= 1.  The second moment's
+    entries reach 1.3e3 at m = 8; its worst deviation measured over 260
+    points per m was 1.1e-11 (2.1e-13 for the first)."""
+    p = ParameterPoint(lam, mu)
+    x1, x2 = _fock_moments(p, m)
+    assert np.abs(frame_moment(p, m, 1) - x1).max() < 1e-12
+    assert np.abs(frame_moment(p, m, 2) - x2).max() < 5e-11
+
+
+def test_frame_moments_at_origin():
+    """At lam = mu = 0 the frame is V0, so V+ N^k V = N_m^k exactly."""
+    origin = ParameterPoint(0.0, 0.0)
+    for m in (1, 2, 5, 8):
+        n_m = np.diag(np.arange(m, dtype=complex))
+        assert np.array_equal(frame_moment(origin, m, 1), n_m)
+        assert np.array_equal(frame_moment(origin, m, 2), n_m @ n_m)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 5, 8])
+def test_frame_moments_hermitian_and_batched(m):
+    """Both moments are hermitian, and a batch (|mu| straddling the series
+    switch and mu = 0 included) gives its points' own moments."""
+    mags = np.array([0.0, 0.5, 2.0, 1e3, 0.3e4, 0.7e4, 1e4]) * SERIES_SWITCH
+    mu = mags * np.exp(1j * np.linspace(0.2, 6.1, mags.size))
+    lam = np.linspace(-1.0, 0.8, mags.size) * np.exp(0.7j)
+    batch = ParameterPoint(lam, mu)
+    for power in (1, 2):
+        x = frame_moment(batch, m, power)
+        assert x.shape == (mags.size, m, m)
+        scale = np.abs(x).max()
+        assert np.abs(x - np.swapaxes(x.conj(), -1, -2)).max() <= 4e-16 * scale
+        for k in range(mags.size):
+            one = frame_moment(ParameterPoint(complex(lam[k]), complex(mu[k])), m, power)
+            assert np.abs(x[k] - one).max() <= 4e-16 * scale
 
 
 def test_square_at_mu_zero_transports_without_warnings():

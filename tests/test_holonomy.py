@@ -158,6 +158,24 @@ def test_open_loop_rejected():
         parallel_transport(seg, 2)
 
 
+@pytest.mark.parametrize("m", [1, 3])
+def test_parallel_transport_batch_of_triangles(m):
+    """Two triangles that share the origin, as one polygon of array
+    vertices: each entry of the batch is that triangle's own (w, length,
+    phases), with lengths of shape (2,) and phases of shape (2, m)."""
+    origin = ParameterPoint(0.0, 0.0)
+    second = ParameterPoint(np.array([0.3 + 0.1j, -0.2 + 0.25j]), np.array([0.2, 0.1 - 0.3j]))
+    third = ParameterPoint(0.1j, -0.3j)
+    w, length, phases = parallel_transport(polygon_loop([origin, second, third], 16), m)
+    assert w.shape == (2, m, m) and length.shape == (2,) and phases.shape == (2, m)
+    for k in range(2):
+        corner = ParameterPoint(complex(second.lam[k]), complex(second.mu[k]))
+        w_k, length_k, phases_k = parallel_transport(polygon_loop([origin, corner, third], 16), m)
+        assert np.abs(w[k] - w_k).max() < 1e-14
+        assert length[k] == pytest.approx(length_k, rel=1e-14)
+        assert np.abs(phases[k] - phases_k).max() < 1e-14
+
+
 def test_small_loop_ratio():
     residual, half_residual, ratio = small_loop_check(CENTERS[0], "lmb", 2e-3, 2)
     assert 6.0 <= ratio <= 10.0
