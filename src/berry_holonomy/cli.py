@@ -40,6 +40,7 @@ import os
 import sys
 import time
 from functools import partial
+from itertools import chain
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -116,21 +117,57 @@ def _point_pairs(raw: list, source: str) -> List[ParameterPoint]:
     return pts
 
 
+# name -> (magnitudes, phases) of the axis values both lam and mu run over
+NAMED_GRIDS = {"default": (DEFAULT_MAGNITUDES, DEFAULT_PHASES), "small": ((0.0, 0.5), (0.0,))}
+
+
+def _grid_file(path: str) -> list:
+    """The parsed JSON list of a grid file."""
+    if not os.path.exists(path):
+        raise ConfigError(f"grid {path!r} is neither a named grid nor a file")
+    with open(path) as fh:
+        raw = json.load(fh)
+    if not isinstance(raw, list):
+        raise ConfigError("grid file must hold a JSON list of [lam, mu] pairs")
+    return raw
+
+
 def grid_points(name_or_path: str) -> List[ParameterPoint]:
     """Named grid or a JSON file of [lam, mu] string pairs."""
-    if name_or_path == "default":
-        axis = _axis_values(DEFAULT_MAGNITUDES, DEFAULT_PHASES)
-    elif name_or_path == "small":
-        axis = _axis_values((0.0, 0.5), (0.0,))
-    else:
-        if not os.path.exists(name_or_path):
-            raise ConfigError(f"grid {name_or_path!r} is neither a named grid nor a file")
-        with open(name_or_path) as fh:
-            raw = json.load(fh)
-        if not isinstance(raw, list):
-            raise ConfigError("grid file must hold a JSON list of [lam, mu] pairs")
-        return _point_pairs(raw, f"grid {name_or_path!r}")
-    return [ParameterPoint(lam, mu) for lam in axis for mu in axis]
+    if name_or_path in NAMED_GRIDS:
+        axis = _axis_values(*NAMED_GRIDS[name_or_path])
+        return [ParameterPoint(lam, mu) for lam in axis for mu in axis]
+    return _point_pairs(_grid_file(name_or_path), f"grid {name_or_path!r}")
+
+
+def _joined_values(pairs: list) -> Optional[np.ndarray]:
+    """The values of a non-empty list of [lam, mu] string pairs, in order,
+    parsed as `parse_complex` reads each text, from one pass over their
+    joined text; None where a text might not parse or is not finite."""
+    # "," ends each text, so "i," is a text's final i; a text holding a ","
+    # changes the count
+    try:
+        text = (",".join(chain.from_iterable(pairs)) + ",").replace(" ", "").replace("i,", "j,")
+        values = np.array(list(map(complex, text.split(",")[:-1])), dtype=complex)
+    except (TypeError, ValueError):
+        return None
+    if len(values) != 2 * len(pairs) or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def grid_batch(name_or_path: str) -> ParameterPoint:
+    """`grid_points` as one batch.  A grid file of string pairs goes
+    straight into the two arrays (`_joined_values`); any other file goes
+    through `_point_pairs`, which raises the error of its first bad entry."""
+    if name_or_path in NAMED_GRIDS:
+        return stack_points(grid_points(name_or_path))
+    raw = _grid_file(name_or_path)
+    pairs = set(map(type, raw)) == {list} and set(map(len, raw)) == {2}
+    values = _joined_values(raw) if pairs else None
+    if values is None:
+        return stack_points(_point_pairs(raw, f"grid {name_or_path!r}"))
+    return ParameterPoint(*np.ascontiguousarray(values.reshape(-1, 2).T))
 
 
 def _dim(text) -> int:
@@ -222,7 +259,10 @@ def _sweep(
     """--lambda/--mu or a grid (not both), evaluated in one batch: `fields`
     returns named stacks of matrices.  JSON holds one entry per point; CSV
     text one row per point: lambda, mu, then each matrix row-major, each
-    value as re, im.
+    value as re, im.  The CSV text, or the JSON `points` as a `RawJSON`,
+    comes as blocks of whole rows, all rendered before this returns, so
+    `meta.runtime_seconds` covers the rendering and a non-finite table
+    fails before any output is opened.
 
     Both formats are rendered from one float table and one row template
     (`reports.render_points`).  A column whose bits are equal at every
@@ -230,20 +270,23 @@ def _sweep(
     is such columns: the closed curvature lives on the top two levels of
     the frame and the connection is banded, so over a random grid 148 of
     the curvature's 196 columns are constant at m = 4 (628 of 772 at
-    m = 8), as are 33 of the connection's 68.  Bits, not floats, are
-    compared, so 0.0 and -0.0 stay apart."""
+    m = 8), as are 33 of the connection's 68.  Of the varying columns many
+    repeat one another (18 distinct of the curvature's 48 at m = 4, 18 of
+    144 at m = 8; 29 of the connection's 35), and each block formats a
+    repeated column once.  Bits, not floats, are compared, so 0.0 and -0.0
+    stay apart."""
     point_flags = [flag for flag, dest, _ in POINT_FLAGS if getattr(args, dest) is not None]
     if point_flags and args.grid is not None:
         given = " and ".join(point_flags)
         raise ConfigError(f"--grid and {given} both given: sweep a grid or evaluate one point")
     if point_flags:
-        points = [ParameterPoint(_complex_arg(args, "lam", 0.0), _complex_arg(args, "mu", 0.0))]
+        point = ParameterPoint(_complex_arg(args, "lam", 0.0), _complex_arg(args, "mu", 0.0))
+        batch = stack_points([point])
     else:
-        points = grid_points(cfg.grid or "default")
-    batch = stack_points(points)
+        batch = grid_batch(cfg.grid or "default")
     named = [("lambda", batch.lam), ("mu", batch.mu)] + fields(batch, cfg.m)
-    text = render_points(named, cfg.format)
-    return {"m": cfg.m, "points": RawJSON(text)} if cfg.format == "json" else text
+    blocks = render_points(named, cfg.format)
+    return {"m": cfg.m, "points": RawJSON(blocks)} if cfg.format == "json" else blocks
 
 
 def _connection_fields(p: ParameterPoint, m: int) -> List[Tuple[str, np.ndarray]]:
@@ -265,16 +308,37 @@ ORACLE_BATCH = 128
 BCH_BATCH = 32
 
 
-def _oracle(batches: List[ParameterPoint], m: int, dim: int, h: float) -> OracleResult:
-    """`connection_numeric` over the batches, joined along the points."""
-    parts = [connection_numeric(b, m, dim, h) for b in batches]
+def _max_abs(x, y) -> float:
+    return float(np.abs(x - y).max())
+
+
+def _oracle_batch(
+    b: ParameterPoint, m: int, dim: int, h: float
+) -> Tuple[OracleResult, float, float]:
+    """`connection_numeric` at a batch, its frame dropped once reduced to the
+    truncation deviations: V+ N V and V+ N^2 V against their exact values."""
+    r = connection_numeric(b, m, dim, h)
+    nv = np.arange(dim)[:, None] * r.frame
+    trunc = _max_abs(r.frame.conj().swapaxes(-1, -2) @ nv, frame_moment(b, m, 1))
+    curv_trunc = _max_abs(nv.conj().swapaxes(-1, -2) @ nv, frame_moment(b, m, 2))
+    return r._replace(frame=None), trunc, curv_trunc
+
+
+def _oracle(
+    batches: List[ParameterPoint], m: int, dim: int, h: float
+) -> Tuple[OracleResult, float, float]:
+    """`_oracle_batch` over the batches: the results joined along the points,
+    with no frame, and the grid-worst truncation deviations.  No frame
+    outlives its batch."""
+    parts, trunc, curv_trunc = zip(*(_oracle_batch(b, m, dim, h) for b in batches))
     join = lambda arrays: np.concatenate(list(arrays))
-    return OracleResult(
+    joined = OracleResult(
         [join(a) for a in zip(*(r.a for r in parts))],
         join(r.estimated_error for r in parts),
         CurvatureForm({k: join(r.curvature.components[k] for r in parts) for k in COMPONENT_KEYS}),
-        join(r.frame for r in parts),
+        None,
     )
+    return joined, max(trunc), max(curv_trunc)
 
 
 def _verify(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
@@ -296,22 +360,19 @@ def _verify(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
     batch = stack_points(points)
     conn = connection_closed(batch, m)
     oracle_batches = _batches(points, ORACLE_BATCH)
-    oracle = timed("oracle", lambda: _oracle(oracle_batches, m, cfg.dim, cfg.step))
-    max_abs = lambda x, y: float(np.abs(x - y).max())
-    conn_dev = max(max_abs(conn.a_lambda, oracle.a[0]), max_abs(conn.a_mu, oracle.a[1]))
-    # truncation: the frame's V+ N V and V+ N^2 V against their exact values
-    nv = np.arange(cfg.dim)[:, None] * oracle.frame
-    trunc = max_abs(oracle.frame.conj().swapaxes(-1, -2) @ nv, frame_moment(batch, m, 1))
-    curv_trunc = max_abs(nv.conj().swapaxes(-1, -2) @ nv, frame_moment(batch, m, 2))
+    oracle, trunc, curv_trunc = timed(
+        "oracle", lambda: _oracle(oracle_batches, m, cfg.dim, cfg.step)
+    )
+    conn_dev = max(_max_abs(conn.a_lambda, oracle.a[0]), _max_abs(conn.a_mu, oracle.a[1]))
 
     curv = curvature_closed(batch, m)
     fine = oracle.curvature.components
     per_component = {
-        COMPONENT_NAMES[k]: max_abs(curv.components[k], fine[k]) for k in COMPONENT_KEYS
+        COMPONENT_NAMES[k]: _max_abs(curv.components[k], fine[k]) for k in COMPONENT_KEYS
     }
     wedge = f_squared_from_wedge(curv)
-    pair_dev = max_abs(wedge, f_squared_from_wedge(oracle.curvature))
-    formula_dev = max_abs(wedge, f_squared(batch.mu, m))
+    pair_dev = _max_abs(wedge, f_squared_from_wedge(oracle.curvature))
+    formula_dev = _max_abs(wedge, f_squared(batch.mu, m))
 
     n = len(points)
     curv_dev = max(per_component.values())
@@ -430,8 +491,9 @@ def _chern(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
 
 class Command(NamedTuple):
     help: str
-    # (args, config) -> JSON payload, or CSV text when the format is csv; a
-    # payload's "meta" entry (run-dependent facts such as timings) goes to meta
+    # (args, config) -> JSON payload, or the CSV text's blocks when the format
+    # is csv; a payload's "meta" entry (run-dependent facts such as timings)
+    # goes to meta
     handler: Callable[[argparse.Namespace, argparse.Namespace], object]
     settings: Tuple[str, ...]  # the SETTINGS keys the handler reads
     flags: Tuple[Tuple[str, str, str], ...] = ()  # (flag, dest, help)
@@ -493,7 +555,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def run(args: argparse.Namespace) -> int:
     """Run one parsed command line: write {meta, payload} JSON or CSV text to
-    --out or stdout; exit 1 when the payload reports `passed: false`.
+    --out or stdout, piece by piece, never joined; exit 1 when the payload
+    reports `passed: false`.
     Overflow, invalid operations and division by zero in numpy raise
     FloatingPointError, and so does a NaN or infinity in the result: a
     sweep checks its float table before it renders either format (its JSON
@@ -505,7 +568,7 @@ def run(args: argparse.Namespace) -> int:
         result = COMMANDS[args.command].handler(args, cfg)
     as_csv = getattr(cfg, "format", "json") == "csv"
     if as_csv:
-        text = result
+        pieces = result
     else:
         meta = result.pop("meta", {})
         doc = {
@@ -517,14 +580,14 @@ def run(args: argparse.Namespace) -> int:
             "payload": {"version": __version__, **result},
         }
         try:
-            text = dump_json(doc) + "\n"
+            pieces = dump_json(doc, pieces=True) + ["\n"]
         except ValueError:
             raise FloatingPointError("non-finite result") from None
     if cfg.out:
         with open(cfg.out, "w") as fh:
-            fh.write(text)
+            fh.writelines(pieces)
     else:
-        sys.stdout.write(text)
+        sys.stdout.writelines(pieces)
     return 1 if not as_csv and result.get("passed") is False else 0
 
 

@@ -1,11 +1,15 @@
 """Sweep output: the one-table renderer against the per-point reference text."""
 import json
+import time
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from berry_holonomy import ParameterPoint, __version__, connection_closed, curvature_closed
+from berry_holonomy import ParameterPoint, __version__, cli, connection_closed, curvature_closed
+from berry_holonomy import reports
 from berry_holonomy.cli import grid_points, main
 from berry_holonomy.curvature import COMPONENT_KEYS, COMPONENT_NAMES
 from berry_holonomy.reports import dump_json, matrix_payload, render_points
@@ -79,7 +83,33 @@ def float_tables(draw):
 @settings(max_examples=100)
 @given(float_tables(), st.sampled_from(["json", "csv"]))
 def test_render_points_matches_reference(named, fmt):
-    assert render_points(named, fmt) == _reference(named, fmt)
+    assert "".join(render_points(named, fmt)) == _reference(named, fmt)
+
+
+@settings(max_examples=50)
+@given(float_tables(), st.sampled_from(["json", "csv"]), st.sampled_from([1, 40, 150, 400]))
+def test_render_points_in_small_blocks(named, fmt, block_chars):
+    """With a few rows or one row a block, the blocks join to the reference
+    text, and between the header or bracket and the closing newline or
+    bracket each block holds whole rows."""
+    with mock.patch.object(reports, "BLOCK_CHARS", block_chars):
+        blocks = render_points(named, fmt)
+    assert "".join(blocks) == _reference(named, fmt)
+    lead, rows, tail = blocks[0], blocks[1:-1], blocks[-1]
+    if fmt == "json":
+        assert (lead, tail) == ("[", "]")
+        assert rows[0].startswith("{") and all(b.startswith(",{") for b in rows[1:])
+        assert all(b.endswith("}") for b in rows)
+    else:
+        assert (lead, tail) == (_csv_header(named) + "\n", "\n")
+        assert all(b.startswith("\n") for b in rows[1:])
+        assert not any(b.endswith("\n") for b in rows)
+    # a point object holds one "{"; CSV rows are separated by newlines
+    counts = [b.count("{") if fmt == "json" else b.lstrip("\n").count("\n") + 1 for b in rows]
+    assert sum(counts) == len(named[0][1])
+    assert len(set(counts[:-1])) <= 1 and counts[-1] <= counts[0]
+    if block_chars == 1:
+        assert set(counts) == {1}
 
 
 def test_render_points_keeps_signed_zeros_apart():
@@ -87,7 +117,7 @@ def test_render_points_keeps_signed_zeros_apart():
     lam = np.array([0.0, -0.0, 0.0]).astype(complex)
     named = [("lambda", lam), ("mu", np.zeros(3, complex))]
     rows = "0.0,0.0,0.0,0.0\n-0.0,0.0,0.0,0.0\n0.0,0.0,0.0,0.0\n"
-    assert render_points(named, "csv") == "lambda.re,lambda.im,mu.re,mu.im\n" + rows
+    assert "".join(render_points(named, "csv")) == "lambda.re,lambda.im,mu.re,mu.im\n" + rows
 
 
 def _closed_named(command: str, points, m: int):
@@ -151,3 +181,99 @@ def test_sweep_output_is_byte_identical(command, m, grid, fmt, tmp_path):
     if grid.endswith("grid.json") and fmt == "csv":
         column = [row.split(",")[0] for row in text.splitlines()[1:]]
         assert set(column) == {"0.0", "-0.0"}
+
+
+def _seeded_grid(path, n: int, seed: int = 5) -> str:
+    """n points with |lam|, |mu| <= 1, rounded to six decimals as a user's
+    grid file would hold them."""
+    rng = np.random.default_rng(seed)
+    z = rng.uniform(-0.7, 0.7, size=(n, 2)) + 1j * rng.uniform(-0.7, 0.7, size=(n, 2))
+    text = lambda w: f"{w.real!r}{w.imag:+}i"
+    path.write_text(json.dumps([[text(lam), text(mu)] for lam, mu in z.round(6).tolist()]))
+    return str(path)
+
+
+def _block_counts(monkeypatch) -> list:
+    """The number of blocks each `render_points` call of the CLI returns."""
+    counts, render = [], cli.render_points
+
+    def spy(*args):
+        blocks = render(*args)
+        counts.append(len(blocks))
+        return blocks
+
+    monkeypatch.setattr(cli, "render_points", spy)
+    return counts
+
+
+def _payload_text(text: str) -> str:
+    key = '"payload":'
+    return text[text.index(key) + len(key) : -2]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", ["connection", "curvature"])
+@pytest.mark.parametrize("m", [4, 8])
+def test_multi_block_sweep_is_byte_identical(command, m, fmt, monkeypatch, tmp_path):
+    """With 16 KB blocks a seeded 160-point grid spans at least three
+    blocks of rows, and `main` writes the text of the per-point reference."""
+    grid = _seeded_grid(tmp_path / "grid.json", 160)
+    monkeypatch.setattr(reports, "BLOCK_CHARS", 1 << 14)
+    counts = _block_counts(monkeypatch)
+    out = tmp_path / f"out.{fmt}"
+    assert main([command, "--m", str(m), "--grid", grid, "--format", fmt, "--out", str(out)]) == 0
+    text = out.read_text()
+    assert (_payload_text(text) if fmt == "json" else text) == _expected_text(
+        command, grid_points(grid), m, fmt
+    )
+    # the lead and the tail, then at least three blocks of rows
+    assert counts[0] >= 5
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_multi_block_stdout_matches_out_file(fmt, monkeypatch, tmp_path, capsysbinary):
+    """A sweep written to stdout has the bytes of the same sweep written to
+    --out, over many blocks of rows (the JSON up to its meta)."""
+    grid = _seeded_grid(tmp_path / "grid.json", 400)
+    argv = ["curvature", "--m", "8", "--grid", grid, "--format", fmt]
+    counts = _block_counts(monkeypatch)
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert main(argv) == 0
+    printed, written = capsysbinary.readouterr().out, out.read_bytes()
+    if fmt == "json":
+        printed, written = (_payload_text(t.decode()) for t in (printed, written))
+    assert printed == written
+    assert min(counts) >= 5
+
+
+def test_runtime_seconds_covers_rendering(monkeypatch, tmp_path):
+    """Every block is rendered before the handler returns, so a slow
+    rendering shows in `meta.runtime_seconds`."""
+    render = cli.render_points
+
+    def slow(*args):
+        time.sleep(0.25)
+        return render(*args)
+
+    monkeypatch.setattr(cli, "render_points", slow)
+    out = tmp_path / "out.json"
+    assert main(["curvature", "--m", "4", "--grid", "default", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["meta"]["runtime_seconds"] >= 0.25
+
+
+def test_csv_sweep_peak_memory(tmp_path):
+    """`curvature --m 8 --format csv` over 2000 points (7.9 MB of text)
+    peaks under 40 MB of traced allocations: the text is rendered, held
+    and written a block at a time, and the full float table is dropped once
+    its varying columns are taken.  Rendering the whole text as one string
+    peaked at 58 MB; blocks peak at 27 MB."""
+    grid = _seeded_grid(tmp_path / "grid.json", 2000)
+    argv = ["curvature", "--m", "8", "--grid", grid, "--format", "csv"]
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
