@@ -40,7 +40,6 @@ import os
 import sys
 import time
 from functools import partial
-from itertools import chain
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -105,69 +104,53 @@ def _axis_values(mags: Sequence[float], phases: Sequence[float]) -> List[complex
     return out
 
 
-def _point_pairs(raw: list, source: str) -> List[ParameterPoint]:
-    """Points from a parsed, non-empty JSON list of [lam, mu] string pairs."""
+def _pair_values(raw: list, source: str) -> Tuple[List[complex], List[complex]]:
+    """The lam and the mu values of a parsed, non-empty JSON list of
+    [lam, mu] string pairs, in order."""
     if not raw:
         raise ConfigError(f"{source} holds no points")
-    pts = []
+    lams: List[complex] = []
+    mus: List[complex] = []
     for entry in raw:
         if not (isinstance(entry, (list, tuple)) and len(entry) == 2):
             raise ConfigError(f"{source} entries must be [lam, mu] pairs")
-        pts.append(ParameterPoint(parse_complex(str(entry[0])), parse_complex(str(entry[1]))))
-    return pts
+        lams.append(parse_complex(str(entry[0])))
+        mus.append(parse_complex(str(entry[1])))
+    return lams, mus
 
 
-# name -> (magnitudes, phases) of the axis values both lam and mu run over
-NAMED_GRIDS = {"default": (DEFAULT_MAGNITUDES, DEFAULT_PHASES), "small": ((0.0, 0.5), (0.0,))}
+def _point_pairs(raw: list, source: str) -> List[ParameterPoint]:
+    """Points from a parsed, non-empty JSON list of [lam, mu] string pairs."""
+    return list(map(ParameterPoint, *_pair_values(raw, source)))
 
 
-def _grid_file(path: str) -> list:
-    """The parsed JSON list of a grid file."""
-    if not os.path.exists(path):
-        raise ConfigError(f"grid {path!r} is neither a named grid nor a file")
-    with open(path) as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, list):
-        raise ConfigError("grid file must hold a JSON list of [lam, mu] pairs")
-    return raw
+def _grid_values(name_or_path: str) -> Tuple[List[complex], List[complex]]:
+    """The lam and the mu values of a named grid or of a JSON file of
+    [lam, mu] string pairs."""
+    if name_or_path == "default":
+        axis = _axis_values(DEFAULT_MAGNITUDES, DEFAULT_PHASES)
+    elif name_or_path == "small":
+        axis = _axis_values((0.0, 0.5), (0.0,))
+    else:
+        if not os.path.exists(name_or_path):
+            raise ConfigError(f"grid {name_or_path!r} is neither a named grid nor a file")
+        with open(name_or_path) as fh:
+            raw = json.load(fh)
+        if not isinstance(raw, list):
+            raise ConfigError("grid file must hold a JSON list of [lam, mu] pairs")
+        return _pair_values(raw, f"grid {name_or_path!r}")
+    return [lam for lam in axis for _ in axis], axis * len(axis)
 
 
 def grid_points(name_or_path: str) -> List[ParameterPoint]:
     """Named grid or a JSON file of [lam, mu] string pairs."""
-    if name_or_path in NAMED_GRIDS:
-        axis = _axis_values(*NAMED_GRIDS[name_or_path])
-        return [ParameterPoint(lam, mu) for lam in axis for mu in axis]
-    return _point_pairs(_grid_file(name_or_path), f"grid {name_or_path!r}")
-
-
-def _joined_values(pairs: list) -> Optional[np.ndarray]:
-    """The values of a non-empty list of [lam, mu] string pairs, in order,
-    parsed as `parse_complex` reads each text, from one pass over their
-    joined text; None where a text might not parse or is not finite."""
-    # "," ends each text, so "i," is a text's final i; a text holding a ","
-    # changes the count
-    try:
-        text = (",".join(chain.from_iterable(pairs)) + ",").replace(" ", "").replace("i,", "j,")
-        values = np.array(list(map(complex, text.split(",")[:-1])), dtype=complex)
-    except (TypeError, ValueError):
-        return None
-    if len(values) != 2 * len(pairs) or not np.isfinite(values).all():
-        return None
-    return values
+    return list(map(ParameterPoint, *_grid_values(name_or_path)))
 
 
 def grid_batch(name_or_path: str) -> ParameterPoint:
-    """`grid_points` as one batch.  A grid file of string pairs goes
-    straight into the two arrays (`_joined_values`); any other file goes
-    through `_point_pairs`, which raises the error of its first bad entry."""
-    if name_or_path in NAMED_GRIDS:
-        return stack_points(grid_points(name_or_path))
-    raw = _grid_file(name_or_path)
-    pairs = set(map(type, raw)) == {list} and set(map(len, raw)) == {2}
-    values = _joined_values(raw) if pairs else None
-    if values is None:
-        return stack_points(_point_pairs(raw, f"grid {name_or_path!r}"))
-    return ParameterPoint(*np.ascontiguousarray(values.reshape(-1, 2).T))
+    """`grid_points` as one batch, built with no point objects."""
+    lams, mus = _grid_values(name_or_path)
+    return ParameterPoint(np.array(lams, dtype=complex), np.array(mus, dtype=complex))
 
 
 def _dim(text) -> int:

