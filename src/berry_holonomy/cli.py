@@ -39,7 +39,7 @@ import math
 import os
 import sys
 import time
-from functools import partial
+from functools import lru_cache, partial
 from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
@@ -517,7 +517,10 @@ COMMANDS = {
 }
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: `parse_args` leaves it
+    unchanged and returns a new namespace each call."""
     parser = argparse.ArgumentParser(
         prog="berry-holonomy",
         description="Adiabatic connection, curvature, and holonomy on the "

@@ -141,20 +141,35 @@ def test_verify_default_grid_accuracy_and_section_times(tmp_path):
     assert "meta" not in doc["payload"]
 
 
+def _verify_batches_join(monkeypatch, tmp_path, batch: str, spied: str, splits: int):
+    """`verify --m 2 --grid default` with the `spied` function called once
+    for the whole grid, then `splits` times with the `batch` size set to 7;
+    both runs give the same payload, byte for byte."""
+    calls = []
+    fn = getattr(cli, spied)
+    monkeypatch.setattr(cli, spied, lambda *a: calls.append(1) or fn(*a))
+    argv = ["verify", "--m", "2", "--grid", "default"]
+    _, whole = run(argv, tmp_path, "whole.json")
+    assert len(calls) == 1
+    monkeypatch.setattr(cli, batch, 7)
+    _, split = run(argv, tmp_path, "split.json")
+    assert len(calls) == 1 + splits
+    assert dump_json(split["payload"]) == dump_json(whole["payload"])
+
+
 def test_verify_oracle_batches_join_to_one_call(monkeypatch, tmp_path):
     """The default grid's 81 points in oracle batches of 7 (the last one
     short) give the payload of the single call, byte for byte.  The oracle
     runs once per batch: one call for the whole grid, 12 for the split."""
-    calls = []
-    oracle = cli.connection_numeric
-    monkeypatch.setattr(cli, "connection_numeric", lambda *a: calls.append(1) or oracle(*a))
-    argv = ["verify", "--m", "2", "--grid", "default"]
-    _, whole = run(argv, tmp_path, "whole.json")
-    assert len(calls) == 1
-    monkeypatch.setattr(cli, "ORACLE_BATCH", 7)
-    _, split = run(argv, tmp_path, "split.json")
-    assert len(calls) == 1 + 12
-    assert dump_json(split["payload"]) == dump_json(whole["payload"])
+    _verify_batches_join(monkeypatch, tmp_path, "ORACLE_BATCH", "connection_numeric", 12)
+
+
+def test_verify_factorization_batches_join_to_one_report(monkeypatch, tmp_path):
+    """The default grid's 25 factorization points in batches of 7 give the
+    payload of the single report, byte for byte: a point's deviations do not
+    depend on the other values of its batch.  One report for the whole
+    grid, 4 for the split."""
+    _verify_batches_join(monkeypatch, tmp_path, "BCH_BATCH", "bch_identity_report", 4)
 
 
 def test_verify_breach_exit_code(tmp_path):
@@ -529,3 +544,24 @@ def test_chern_values(tmp_path):
 def test_parser_rejects_unknown_command():
     with pytest.raises(SystemExit):
         build_parser().parse_args(["frobnicate"])
+
+
+def test_main_calls_share_the_parser_and_nothing_else(monkeypatch, tmp_path):
+    """One process builds the parser once; each `main` call still parses
+    into a namespace of its own, so no flag of an earlier command, of the
+    same subcommand or another, shows in a later one."""
+    argvs = [
+        ["connection", "--m", "3", "--lambda", "0.4", "--mu", "0.2i"],
+        ["curvature", "--grid", "small", "--format", "csv"],
+        ["connection", "--mu", "0.1"],
+        ["chern"],
+    ]
+    seen = []
+    run_parsed = cli.run
+    monkeypatch.setattr(cli, "run", lambda args: seen.append(vars(args).copy()) or run_parsed(args))
+    for k, argv in enumerate(argvs):
+        assert main(argv + ["--out", str(tmp_path / f"{k}.out")]) == 0
+    assert build_parser() is build_parser()
+    fresh = build_parser.__wrapped__()
+    for argv, args in zip(argvs, seen):
+        assert args == vars(fresh.parse_args(argv + ["--out", args["out"]]))

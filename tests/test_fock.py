@@ -3,9 +3,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, strategies as st
 
-from berry_holonomy import bch_identity_report
+from berry_holonomy import bch_identity_report, fock
 from berry_holonomy.cli import grid_points
 from berry_holonomy.fock import (
     _generator_modes,
@@ -227,22 +228,49 @@ def test_factorization_interior_small_at_both_sizes():
     assert _worst(rep64, 0) < 1e-8
 
 
-def test_factorization_batch_equals_pointwise(dim64):
-    """One report over the factorization points of the default grid gives,
-    per point, the deviations and buffers of that point's own report."""
+def test_factorization_batch_equals_pointwise(dim64, monkeypatch):
+    """One report over points that repeat values gives, per point, exactly
+    the deviations and buffers of that point's own report.  Each identity
+    is evaluated once per distinct value of its own parameter: 5 lam and 5
+    mu for the default grid's 25 factorization points.  Values are told
+    apart by their bits, so 0.0 and -0.0 are evaluated apart."""
     pts = [p for p in grid_points("default") if abs(p.lam) <= 0.5 and abs(p.mu) <= 0.5]
-    lam = np.array([p.lam for p in pts])
-    mu = np.array([p.mu for p in pts])
-    rep = bch_identity_report(lam, mu, dim64)
-    assert set(rep) == {"displacement", "squeeze"}
-    assert all(a.shape == (len(pts),) for part in rep.values() for a in part)
-    close = lambda got, want: abs(got - want) <= 1e-12 * want + 1e-15
-    for k, p in enumerate(pts):
-        one = bch_identity_report(p.lam, p.mu, dim64)
-        for name, (interior, boundary, buffer) in one.items():
-            batch = rep[name]
-            assert interior.shape == boundary.shape == buffer.shape == ()
-            assert buffer.dtype.kind == "i"
-            assert batch[2][k] == buffer
-            assert close(batch[0][k], interior)
-            assert close(batch[1][k], boundary)
+    batches = [
+        (np.array([p.lam for p in pts]), np.array([p.mu for p in pts]), [5, 5]),
+        (np.array([0.0, -0.0, 0.0, -0.0]), np.array([0.25, -0.0, 0.0, 0.25]), [2, 3]),
+    ]
+    evaluated = []
+    raising_exp = fock._raising_exp
+    monkeypatch.setattr(
+        fock, "_raising_exp", lambda c, j, D: evaluated.append(np.size(c)) or raising_exp(c, j, D)
+    )
+    for lam, mu, distinct in batches:
+        evaluated.clear()
+        rep = bch_identity_report(lam, mu, dim64)
+        assert evaluated == distinct
+        assert set(rep) == {"displacement", "squeeze"}
+        assert all(a.shape == lam.shape for part in rep.values() for a in part)
+        for k in range(len(lam)):
+            one = bch_identity_report(lam[k], mu[k], dim64)
+            for name, (interior, boundary, buffer) in one.items():
+                assert interior.shape == boundary.shape == buffer.shape == ()
+                assert buffer.dtype.kind == "i"
+                assert [a[k] for a in rep[name]] == [interior, boundary, buffer]
+
+
+@pytest.mark.parametrize("mu, D", [(-0.014 + 0.038j, 64), (0.026 - 0.006j, 96)])
+def test_squeeze_buffer_holds_the_truncation(mu, D):
+    """Inside its buffer the truncated squeeze agrees with the squeeze on
+    4D levels (`scipy.linalg.expm`) to 1e-12, so the report's squeeze
+    interior holds roundoff only.  A slack of 6 levels in place of 12 would
+    give 11 at the first point, where the truncation needs 14, and the
+    report would read the 1.4e-8 truncation error."""
+
+    def squeeze(n: int) -> np.ndarray:
+        kp = make_operators(n)["K_plus"]
+        return scipy.linalg.expm(mu * kp - np.conj(mu) * kp.conj().T)
+
+    inner = D - squeeze_buffer(mu, D)
+    truncation = np.abs(squeeze(D) - squeeze(4 * D)[:D, :D])[:inner, :inner].max()
+    assert truncation <= 1e-12
+    assert bch_identity_report(0.196 - 0.063j, mu, D)["squeeze"][0] <= 1e-12
