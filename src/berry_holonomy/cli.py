@@ -40,7 +40,7 @@ import os
 import sys
 import time
 from functools import lru_cache, partial
-from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -49,14 +49,13 @@ from .connection import connection_closed, frame_moment
 from .curvature import (
     COMPONENT_KEYS,
     COMPONENT_NAMES,
-    CurvatureForm,
     curvature_closed,
     curvature_span_dimension,
     f_squared,
     f_squared_from_wedge,
     chern_trace_forms,
 )
-from .family import ParameterPoint, stack_points
+from .family import ParameterPoint
 from .fock import bch_identity_report
 from .holonomy import (
     holonomy_algebra_dimension,
@@ -65,7 +64,7 @@ from .holonomy import (
     polygon_loop,
 )
 from .lie import ClosureNotStabilized
-from .numeric import STEP, OracleResult, connection_numeric, derivative_identity_report
+from .numeric import STEP, connection_numeric, derivative_identity_report
 from .reports import RawJSON, dump_json, matrix_payload, render_points
 
 
@@ -119,18 +118,13 @@ def _pair_values(raw: list, source: str) -> Tuple[List[complex], List[complex]]:
     return lams, mus
 
 
-def _point_pairs(raw: list, source: str) -> List[ParameterPoint]:
-    """Points from a parsed, non-empty JSON list of [lam, mu] string pairs."""
-    return list(map(ParameterPoint, *_pair_values(raw, source)))
-
-
-def _grid_values(name_or_path: str) -> Tuple[List[complex], List[complex]]:
-    """The lam and the mu values of a named grid or of a JSON file of
-    [lam, mu] string pairs."""
-    if name_or_path == "default":
-        axis = _axis_values(DEFAULT_MAGNITUDES, DEFAULT_PHASES)
-    elif name_or_path == "small":
-        axis = _axis_values((0.0, 0.5), (0.0,))
+def grid_batch(name_or_path: str) -> ParameterPoint:
+    """A named grid ('default', 'small') or a JSON file of [lam, mu] string
+    pairs, as one batch of points of shape (points,)."""
+    named = {"default": (DEFAULT_MAGNITUDES, DEFAULT_PHASES), "small": ((0.0, 0.5), (0.0,))}
+    if name_or_path in named:
+        axis = _axis_values(*named[name_or_path])
+        lams, mus = [lam for lam in axis for _ in axis], axis * len(axis)
     else:
         if not os.path.exists(name_or_path):
             raise ConfigError(f"grid {name_or_path!r} is neither a named grid nor a file")
@@ -138,19 +132,14 @@ def _grid_values(name_or_path: str) -> Tuple[List[complex], List[complex]]:
             raw = json.load(fh)
         if not isinstance(raw, list):
             raise ConfigError("grid file must hold a JSON list of [lam, mu] pairs")
-        return _pair_values(raw, f"grid {name_or_path!r}")
-    return [lam for lam in axis for _ in axis], axis * len(axis)
+        lams, mus = _pair_values(raw, f"grid {name_or_path!r}")
+    return ParameterPoint(np.array(lams, dtype=complex), np.array(mus, dtype=complex))
 
 
 def grid_points(name_or_path: str) -> List[ParameterPoint]:
-    """Named grid or a JSON file of [lam, mu] string pairs."""
-    return list(map(ParameterPoint, *_grid_values(name_or_path)))
-
-
-def grid_batch(name_or_path: str) -> ParameterPoint:
-    """`grid_points` as one batch, built with no point objects."""
-    lams, mus = _grid_values(name_or_path)
-    return ParameterPoint(np.array(lams, dtype=complex), np.array(mus, dtype=complex))
+    """`grid_batch` as a list of points."""
+    batch = grid_batch(name_or_path)
+    return list(map(ParameterPoint, batch.lam.tolist(), batch.mu.tolist()))
 
 
 def _dim(text) -> int:
@@ -229,11 +218,6 @@ def _complex_arg(args: argparse.Namespace, name: str, default: complex) -> compl
     return default if text is None else parse_complex(text)
 
 
-def _batches(points: Sequence[ParameterPoint], size: int) -> List[ParameterPoint]:
-    """The points as consecutive batches of at most `size`."""
-    return [stack_points(points[i : i + size]) for i in range(0, len(points), size)]
-
-
 def _sweep(
     fields: Callable[[ParameterPoint, int], List[Tuple[str, np.ndarray]]],
     args: argparse.Namespace,
@@ -245,26 +229,17 @@ def _sweep(
     value as re, im.  The CSV text, or the JSON `points` as a `RawJSON`,
     comes as blocks of whole rows, all rendered before this returns, so
     `meta.runtime_seconds` covers the rendering and a non-finite table
-    fails before any output is opened.
-
-    Both formats are rendered from one float table and one row template
-    (`reports.render_points`).  A column whose bits are equal at every
-    point is formatted once, into the template, because most of the table
-    is such columns: the closed curvature lives on the top two levels of
-    the frame and the connection is banded, so over a random grid 148 of
-    the curvature's 196 columns are constant at m = 4 (628 of 772 at
-    m = 8), as are 33 of the connection's 68.  Of the varying columns many
-    repeat one another (18 distinct of the curvature's 48 at m = 4, 18 of
-    144 at m = 8; 29 of the connection's 35), and each block formats a
-    repeated column once.  Bits, not floats, are compared, so 0.0 and -0.0
-    stay apart."""
+    fails before any output is opened.  Both formats come from
+    `reports.render_points`, which formats a constant or repeated column
+    once (most of the closed forms' columns are such)."""
     point_flags = [flag for flag, dest, _ in POINT_FLAGS if getattr(args, dest) is not None]
     if point_flags and args.grid is not None:
         given = " and ".join(point_flags)
         raise ConfigError(f"--grid and {given} both given: sweep a grid or evaluate one point")
     if point_flags:
-        point = ParameterPoint(_complex_arg(args, "lam", 0.0), _complex_arg(args, "mu", 0.0))
-        batch = stack_points([point])
+        batch = ParameterPoint(
+            *(np.array([_complex_arg(args, dest, 0.0)], dtype=complex) for dest in ("lam", "mu"))
+        )
     else:
         batch = grid_batch(cfg.grid or "default")
     named = [("lambda", batch.lam), ("mu", batch.mu)] + fields(batch, cfg.m)
@@ -295,38 +270,47 @@ def _max_abs(x, y) -> float:
     return float(np.abs(x - y).max())
 
 
-def _oracle_batch(
-    b: ParameterPoint, m: int, dim: int, h: float
-) -> Tuple[OracleResult, float, float]:
-    """`connection_numeric` at a batch, its frame dropped once reduced to the
-    truncation deviations: V+ N V and V+ N^2 V against their exact values."""
+def _slices(batch: ParameterPoint, size: int) -> Iterator[ParameterPoint]:
+    """The batch of shape (points,) as consecutive slices of at most `size`."""
+    for i in range(0, batch.lam.size, size):
+        yield ParameterPoint(batch.lam[i : i + size], batch.mu[i : i + size])
+
+
+def _slice_devs(b: ParameterPoint, m: int, dim: int, h: float) -> Dict[str, float]:
+    """One slice of the grid reduced to its worst deviations, keyed by name:
+    the oracle's connection and each curvature component (`COMPONENT_NAMES`)
+    against the closed forms, the oracle's estimated error, the frame's V+ N V
+    and V+ N^2 V against their exact values (truncation), and the closed
+    wedge square against the oracle's and against `f_squared`.  No array
+    outlives the slice."""
     r = connection_numeric(b, m, dim, h)
+    conn = connection_closed(b, m)
+    curv = curvature_closed(b, m)
+    wedge = f_squared_from_wedge(curv)
     nv = np.arange(dim)[:, None] * r.frame
-    trunc = _max_abs(r.frame.conj().swapaxes(-1, -2) @ nv, frame_moment(b, m, 1))
-    curv_trunc = _max_abs(nv.conj().swapaxes(-1, -2) @ nv, frame_moment(b, m, 2))
-    return r._replace(frame=None), trunc, curv_trunc
-
-
-def _oracle(
-    batches: List[ParameterPoint], m: int, dim: int, h: float
-) -> Tuple[OracleResult, float, float]:
-    """`_oracle_batch` over the batches: the results joined along the points,
-    with no frame, and the grid-worst truncation deviations.  No frame
-    outlives its batch."""
-    parts, trunc, curv_trunc = zip(*(_oracle_batch(b, m, dim, h) for b in batches))
-    join = lambda arrays: np.concatenate(list(arrays))
-    joined = OracleResult(
-        [join(a) for a in zip(*(r.a for r in parts))],
-        join(r.estimated_error for r in parts),
-        CurvatureForm({k: join(r.curvature.components[k] for r in parts) for k in COMPONENT_KEYS}),
-        None,
+    devs = {
+        COMPONENT_NAMES[k]: _max_abs(curv.components[k], r.curvature.components[k])
+        for k in COMPONENT_KEYS
+    }
+    devs.update(
+        conn=max(_max_abs(conn.a_lambda, r.a[0]), _max_abs(conn.a_mu, r.a[1])),
+        est=float(r.estimated_error.max()),
+        trunc=_max_abs(r.frame.conj().swapaxes(-1, -2) @ nv, frame_moment(b, m, 1)),
+        curv_trunc=_max_abs(nv.conj().swapaxes(-1, -2) @ nv, frame_moment(b, m, 2)),
+        pair=_max_abs(wedge, f_squared_from_wedge(r.curvature)),
+        formula=_max_abs(wedge, f_squared(b.mu, m)),
     )
-    return joined, max(trunc), max(curv_trunc)
+    return devs
 
 
 def _verify(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
+    """The closed forms against the oracle over the grid, read once as a
+    batch and walked in slices of `ORACLE_BATCH` points, each reduced to its
+    worst deviations (`_slice_devs`); every number printed is a maximum over
+    the grid, so it is the maximum over the slices.  The factorization check
+    takes the grid's inner points in slices of `BCH_BATCH`."""
     m = cfg.m
-    points = grid_points(cfg.grid or "small")
+    grid = grid_batch(cfg.grid or "small")
 
     def section(key: str, dev: float, default_tol: float, **extra) -> dict:
         t = cfg.tolerance if cfg.tolerance is not None else default_tol
@@ -340,58 +324,56 @@ def _verify(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
         seconds[name] = round(time.perf_counter() - started, 6)
         return out
 
-    batch = stack_points(points)
-    conn = connection_closed(batch, m)
-    oracle_batches = _batches(points, ORACLE_BATCH)
-    oracle, trunc, curv_trunc = timed(
-        "oracle", lambda: _oracle(oracle_batches, m, cfg.dim, cfg.step)
+    devs = timed(
+        "oracle",
+        lambda: [_slice_devs(b, m, cfg.dim, cfg.step) for b in _slices(grid, ORACLE_BATCH)],
     )
-    conn_dev = max(_max_abs(conn.a_lambda, oracle.a[0]), _max_abs(conn.a_mu, oracle.a[1]))
-
-    curv = curvature_closed(batch, m)
-    fine = oracle.curvature.components
-    per_component = {
-        COMPONENT_NAMES[k]: _max_abs(curv.components[k], fine[k]) for k in COMPONENT_KEYS
-    }
-    wedge = f_squared_from_wedge(curv)
-    pair_dev = _max_abs(wedge, f_squared_from_wedge(oracle.curvature))
-    formula_dev = _max_abs(wedge, f_squared(batch.mu, m))
-
-    n = len(points)
-    curv_dev = max(per_component.values())
-    est = float(oracle.estimated_error.max())
+    worst = {key: max(d[key] for d in devs) for key in devs[0]}
+    per_component = {COMPONENT_NAMES[k]: worst[COMPONENT_NAMES[k]] for k in COMPONENT_KEYS}
+    n = grid.lam.size
     sections = {
         "connection": section(
-            "max_dev", conn_dev, 1e-6, max_estimated_error=est, max_truncation_error=trunc, points=n
+            "max_dev",
+            worst["conn"],
+            1e-6,
+            max_estimated_error=worst["est"],
+            max_truncation_error=worst["trunc"],
+            points=n,
         ),
         "curvature": section(
             "max_dev",
-            curv_dev,
+            max(per_component.values()),
             1e-5,
             per_component=per_component,
-            max_truncation_error=curv_trunc,
+            max_truncation_error=worst["curv_trunc"],
             points=n,
         ),
     }
     t = sections["curvature"]["tolerance"]
-    worst = sorted(name for name, v in per_component.items() if v >= t) if pair_dev >= t else []
+    pair_dev = worst["pair"]
+    failed = sorted(name for name, v in per_component.items() if v >= t) if pair_dev >= t else []
     # the gate is agreement of the two independently assembled wedge squares;
     # the closed formula deviation is informational
     sections["wedge_square"] = section(
-        "oracle_pair_dev", pair_dev, 1e-5, closed_formula_dev=formula_dev, discrepancies=worst
+        "oracle_pair_dev", pair_dev, 1e-5, closed_formula_dev=worst["formula"], discrepancies=failed
     )
 
     # the factorization check at D = 64 takes the points with |lam|, |mu| <= 0.5,
     # or one fixed point when the grid holds none
     bch_dim = 64
-    bch_points = [p for p in points if abs(p.lam) <= 0.5 and abs(p.mu) <= 0.5] or [
-        ParameterPoint(0.25 + 0.1j, 0.2 - 0.15j)
-    ]
-    bch_batches = _batches(bch_points, BCH_BATCH)
-    bch = timed("bch", lambda: [bch_identity_report(b.lam, b.mu, bch_dim) for b in bch_batches])
+    inner = (np.abs(grid.lam) <= 0.5) & (np.abs(grid.mu) <= 0.5)
+    if inner.any():
+        bch_points = ParameterPoint(grid.lam[inner], grid.mu[inner])
+    else:
+        bch_points = ParameterPoint(np.array([0.25 + 0.1j]), np.array([0.2 - 0.15j]))
+    bch = timed(
+        "bch",
+        lambda: [bch_identity_report(b.lam, b.mu, bch_dim) for b in _slices(bch_points, BCH_BATCH)],
+    )
     bch_dev = max(float(part[0].max()) for rep in bch for part in rep.values())
-    sections["bch"] = section("max_interior_dev", bch_dev, 1e-8, D=bch_dim, points=len(bch_points))
-
+    sections["bch"] = section(
+        "max_interior_dev", bch_dev, 1e-8, D=bch_dim, points=bch_points.lam.size
+    )
     z_samples = (0.3 + 0.2j, 0.7 - 0.4j, 1.1 + 0.05j)
     reports = timed("identities", lambda: [derivative_identity_report(z) for z in z_samples])
     ident_dev = max(max(devs) for devs in reports)
@@ -413,7 +395,7 @@ def _load_loop(args: argparse.Namespace, cfg: argparse.Namespace):
         raw = raw.get("vertices", raw)
     if not isinstance(raw, list) or len(raw) < 2:
         raise ConfigError("loop file must hold a JSON list of [lam, mu] vertices")
-    verts = _point_pairs(raw, "loop file")
+    verts = list(map(ParameterPoint, *_pair_values(raw, "loop file")))
     per_side = max(16, cfg.samples // len(verts))
     return polygon_loop(verts, samples_per_side=per_side, closed=True)
 

@@ -115,8 +115,12 @@ def render_points(named: List[Tuple[str, np.ndarray]], fmt: str) -> List[str]:
     does not depend on the block size.  In each block every varying column
     is `repr`-ed once per distinct bit pattern (`_cell_text`): the closed
     forms repeat columns, such as the sign-carrying structural zeros of
-    the curvature and the m-fold diagonal of `A_lambda`.  `repr` of a float
-    is the text the JSON encoder writes."""
+    the curvature and the m-fold diagonal of `A_lambda`.  Over a random
+    grid, 148 of the curvature's 196 columns are constant at m = 4 (628 of
+    772 at m = 8), as are 33 of the connection's 68, and the varying ones
+    hold 18 distinct of 48 (18 of 144 at m = 8; 29 of the connection's 35).
+    Bits, not floats, are compared, so 0.0 and -0.0 stay apart.  `repr` of
+    a float is the text the JSON encoder writes."""
     if fmt == "json":
         named = sorted(named, key=lambda entry: entry[0])
     n = len(named[0][1])

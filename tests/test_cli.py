@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -137,18 +138,23 @@ def test_verify_default_grid_accuracy_and_section_times(tmp_path):
     assert sections["curvature"]["max_dev"] <= 1.5e-8
     seconds = doc["meta"]["section_seconds"]
     assert set(seconds) == {"oracle", "bch", "identities"}
+    # the factorization mask on the grid's arrays keeps the points of the
+    # per-point abs() filter, the edge points |lam| = 0.5 e^{i pi/4} among them
+    assert sections["bch"]["points"] == 25
     assert all(t >= 0.0 for t in seconds.values())
     assert "meta" not in doc["payload"]
 
 
-def _verify_batches_join(monkeypatch, tmp_path, batch: str, spied: str, splits: int):
-    """`verify --m 2 --grid default` with the `spied` function called once
+def _verify_batches_join(
+    monkeypatch, tmp_path, batch: str, spied: str, splits: int, m: str = "2"
+):
+    """`verify --m M --grid default` with the `spied` function called once
     for the whole grid, then `splits` times with the `batch` size set to 7;
     both runs give the same payload, byte for byte."""
     calls = []
     fn = getattr(cli, spied)
     monkeypatch.setattr(cli, spied, lambda *a: calls.append(1) or fn(*a))
-    argv = ["verify", "--m", "2", "--grid", "default"]
+    argv = ["verify", "--m", m, "--grid", "default"]
     _, whole = run(argv, tmp_path, "whole.json")
     assert len(calls) == 1
     monkeypatch.setattr(cli, batch, 7)
@@ -157,11 +163,13 @@ def _verify_batches_join(monkeypatch, tmp_path, batch: str, spied: str, splits: 
     assert dump_json(split["payload"]) == dump_json(whole["payload"])
 
 
-def test_verify_oracle_batches_join_to_one_call(monkeypatch, tmp_path):
-    """The default grid's 81 points in oracle batches of 7 (the last one
-    short) give the payload of the single call, byte for byte.  The oracle
-    runs once per batch: one call for the whole grid, 12 for the split."""
-    _verify_batches_join(monkeypatch, tmp_path, "ORACLE_BATCH", "connection_numeric", 12)
+@pytest.mark.parametrize("m", ["2", "4"])
+def test_verify_oracle_batches_join_to_one_call(m, monkeypatch, tmp_path):
+    """The default grid's 81 points in oracle slices of 7 (the last one
+    short) give the payload of the single call, byte for byte, the closed
+    forms and wedge squares of each slice included.  The oracle runs once
+    per slice: one call for the whole grid, 12 for the split."""
+    _verify_batches_join(monkeypatch, tmp_path, "ORACLE_BATCH", "connection_numeric", 12, m)
 
 
 def test_verify_factorization_batches_join_to_one_report(monkeypatch, tmp_path):
@@ -170,6 +178,34 @@ def test_verify_factorization_batches_join_to_one_report(monkeypatch, tmp_path):
     depend on the other values of its batch.  One report for the whole
     grid, 4 for the split."""
     _verify_batches_join(monkeypatch, tmp_path, "BCH_BATCH", "bch_identity_report", 4)
+
+
+def _verify_peak_bytes(tmp_path, points: int) -> int:
+    """The tracemalloc peak of `verify --m 8 --dim 48` on a seeded grid of
+    `points` points in the unit bidisk."""
+    rng = np.random.default_rng(points)
+    disk = lambda: (np.sqrt(rng.random(points)) * np.exp(2j * np.pi * rng.random(points))).tolist()
+    text = lambda z: f"{z.real!r}{z.imag:+}i"
+    grid = tmp_path / f"grid{points}.json"
+    grid.write_text(json.dumps([[text(a), text(b)] for a, b in zip(disk(), disk())]))
+    argv = ["verify", "--m", "8", "--dim", "48", "--grid", str(grid)]
+    tracemalloc.start()
+    try:
+        assert main(argv + ["--out", str(tmp_path / "v.json")]) in (0, 1)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_verify_memory_does_not_grow_with_the_grid(tmp_path):
+    """`verify` walks the grid in oracle slices of `ORACLE_BATCH` and keeps
+    only each slice's worst deviations, so 1024 points peak within 1.1 times
+    the peak of 128, one slice (about 12.3 MB each, measured; joining every
+    slice's oracle output and evaluating the closed forms over the whole
+    grid read 12.5 and 29.3 MB)."""
+    assert cli.ORACLE_BATCH == 128
+    small, large = (_verify_peak_bytes(tmp_path, n) for n in (128, 1024))
+    assert large <= 1.1 * small
 
 
 def test_verify_breach_exit_code(tmp_path):

@@ -1,5 +1,8 @@
-"""The package's public surface: the names `berry_holonomy` exposes."""
+"""The package's public surface: the names `berry_holonomy` exposes, and
+no module importing a name it never uses."""
+import ast
 import types
+from pathlib import Path
 
 import berry_holonomy
 
@@ -59,3 +62,23 @@ def test_public_names_are_pinned():
     }
     assert exposed == PUBLIC_NAMES
     assert len(PUBLIC_NAMES) == 34
+
+
+def test_modules_use_every_name_they_import():
+    """Each module but `__init__` (whose imports are the surface) uses every
+    name it imports, so a deletion leaves no dead import behind."""
+    unused = []
+    for path in sorted(Path(berry_holonomy.__file__).parent.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names
+            if alias.name != "annotations"
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in sorted(imported - used)]
+    assert unused == []
