@@ -324,11 +324,11 @@ def _verify(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
         seconds[name] = round(time.perf_counter() - started, 6)
         return out
 
-    devs = timed(
+    per_slice = timed(
         "oracle",
         lambda: [_slice_devs(b, m, cfg.dim, cfg.step) for b in _slices(grid, ORACLE_BATCH)],
     )
-    worst = {key: max(d[key] for d in devs) for key in devs[0]}
+    worst = {key: max(d[key] for d in per_slice) for key in per_slice[0]}
     per_component = {COMPONENT_NAMES[k]: worst[COMPONENT_NAMES[k]] for k in COMPONENT_KEYS}
     n = grid.lam.size
     sections = {
@@ -374,6 +374,7 @@ def _verify(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
     sections["bch"] = section(
         "max_interior_dev", bch_dev, 1e-8, D=bch_dim, points=bch_points.lam.size
     )
+
     z_samples = (0.3 + 0.2j, 0.7 - 0.4j, 1.1 + 0.05j)
     reports = timed("identities", lambda: [derivative_identity_report(z) for z in z_samples])
     ident_dev = max(max(devs) for devs in reports)

@@ -274,3 +274,21 @@ def test_squeeze_buffer_holds_the_truncation(mu, D):
     truncation = np.abs(squeeze(D) - squeeze(4 * D)[:D, :D])[:inner, :inner].max()
     assert truncation <= 1e-12
     assert bch_identity_report(0.196 - 0.063j, mu, D)["squeeze"][0] <= 1e-12
+
+
+@pytest.mark.parametrize("lam, D", [(0.5, 64), (0.5 * cmath.exp(0.25j * math.pi), 96)])
+def test_displacement_buffer_holds_the_truncation(lam, D):
+    """Inside its buffer the truncated displacement agrees with the
+    displacement on 4D levels (`scipy.linalg.expm`) to 1e-12, so the
+    report's displacement interior holds roundoff only.  The earlier buffer,
+    ceil(5 + 10 |lam| sqrt(D / 64)), gives 10 at the first point, where the
+    truncation needs 13, and the report read its 3.3e-9."""
+
+    def displacement(n: int) -> np.ndarray:
+        a = make_operators(n)["a"]
+        return scipy.linalg.expm(lam * a.conj().T - np.conj(lam) * a)
+
+    inner = D - displacement_buffer(lam, D)
+    truncation = np.abs(displacement(D) - displacement(4 * D)[:D, :D])[:inner, :inner].max()
+    assert truncation <= 1e-12
+    assert bch_identity_report(lam, 0.1, D)["displacement"][0] <= 1e-12
