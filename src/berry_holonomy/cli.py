@@ -148,28 +148,23 @@ def _dim(text) -> int:
     return 128 if text == "auto" else int(text)
 
 
-# config key (also the `--KEY` flag and its argparse dest), parser, default, help;
-# flags arrive as strings and go through the same parser as config-file values
+# config key (also the `--KEY` flag and its argparse dest), parser, default, help,
+# and the test a parsed value must pass with the error message ({} for the value),
+# or None; flags arrive as strings and go through the same parser as config-file values
 SETTINGS = (
-    ("m", int, 2, "vacuum degeneracy"),
-    ("dim", _dim, "auto", "truncation dimension or 'auto' (128)"),
-    ("step", float, STEP, "stencil step for oracles"),
-    ("samples", int, 2048, "loop steps; a --loop polygon takes max(16, samples // sides) a side"),
-    ("grid", str, None, "'default', 'small', or a JSON file"),
-    ("out", str, None, "output file (stdout when omitted)"),
-    ("format", str, "json", "json or csv"),
-    ("tolerance", float, None, "override check tolerances"),
+    ("m", int, 2, "vacuum degeneracy", (lambda v: v >= 1, "m must be positive")),
+    ("dim", _dim, "auto", "truncation dimension or 'auto' (128)",
+     (lambda v: v >= 2, "dim must be at least 2")),
+    ("step", float, STEP, "stencil step for oracles",
+     (lambda v: 1e-8 <= v <= 1e-2, "step size out of the supported range")),
+    ("samples", int, 2048, "loop steps; a --loop polygon takes max(16, samples // sides) a side",
+     (lambda v: v >= 4, "samples must be at least 4")),
+    ("grid", str, None, "'default', 'small', or a JSON file", None),
+    ("out", str, None, "output file (stdout when omitted)", None),
+    ("format", str, "json", "json or csv", (lambda v: v in ("json", "csv"), "unknown format {!r}")),
+    ("tolerance", float, None, "override check tolerances",
+     (lambda v: 0 < v < math.inf, "tolerance must be positive and finite")),
 )
-
-# key -> (test a parsed value must pass, error message with {} for the value)
-LIMITS = {
-    "m": (lambda v: v >= 1, "m must be positive"),
-    "dim": (lambda v: v >= 2, "dim must be at least 2"),
-    "step": (lambda v: 1e-8 <= v <= 1e-2, "step size out of the supported range"),
-    "samples": (lambda v: v >= 4, "samples must be at least 4"),
-    "format": (lambda v: v in ("json", "csv"), "unknown format {!r}"),
-    "tolerance": (lambda v: 0 < v < math.inf, "tolerance must be positive and finite"),
-}
 
 
 def load_config_file(path: str) -> Dict[str, str]:
@@ -197,7 +192,7 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
         if key not in keys:
             raise ConfigError(f"unknown config key {key!r}")
     cfg = argparse.Namespace()
-    for key, parse, default, _ in SETTINGS:
+    for key, parse, default, _, limit in SETTINGS:
         if key not in keys:
             continue
         val = getattr(args, key)
@@ -207,8 +202,8 @@ def build_config(args: argparse.Namespace) -> argparse.Namespace:
             val = None if val is None else parse(val)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
-        if val is not None and key in LIMITS and not LIMITS[key][0](val):
-            raise ConfigError(LIMITS[key][1].format(val))
+        if val is not None and limit is not None and not limit[0](val):
+            raise ConfigError(limit[1].format(val))
         setattr(cfg, key, val)
     return cfg
 
@@ -392,8 +387,6 @@ def _load_loop(args: argparse.Namespace, cfg: argparse.Namespace):
         return lambda_circle(0.5, mu=_complex_arg(args, "mu", 0.0), samples=cfg.samples)
     with open(args.loop) as fh:
         raw = json.load(fh)
-    if isinstance(raw, dict):
-        raw = raw.get("vertices", raw)
     if not isinstance(raw, list) or len(raw) < 2:
         raise ConfigError("loop file must hold a JSON list of [lam, mu] vertices")
     verts = list(map(ParameterPoint, *_pair_values(raw, "loop file")))
@@ -513,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, cmd in COMMANDS.items():
         p = sub.add_parser(name, help=cmd.help)
-        for key, _, _, help_text in SETTINGS:
+        for key, _, _, help_text, _ in SETTINGS:
             if key in cmd.settings:
                 p.add_argument(f"--{key}", help=help_text)
         p.add_argument("--config", help="key = value config file")

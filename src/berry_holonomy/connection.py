@@ -123,22 +123,12 @@ def frame_moment(p: ParameterPoint, m: int, power: int) -> np.ndarray:
     return np.linalg.matrix_power(o, power)[..., :m, :m]
 
 
-def contract_one_form(cm: ConnectionMatrices, dlam, dmu, out=None) -> np.ndarray:
+def contract_one_form(cm: ConnectionMatrices, dlam, dmu) -> np.ndarray:
     """A(v) for tangents v = (dlam, dmu), one per point of the batch;
     conjugate legs enter as -A+, so A(v) = X - X+ with
-    X = A_lam dlam + A_mu dmu.
-
-    `out`, when given, receives A(v): an array of the result's shape in any
-    memory layout, such as a transposed view of a stack laid out for
-    `holonomy.transport`.  It is filled in its own memory order, because
-    numpy reads a transposed operand faster than it writes one.
-    """
+    X = A_lam dlam + A_mu dmu."""
     cell = lambda z: np.asarray(z)[..., None, None]
     x = cm.a_lambda * cell(dlam) + cm.a_mu * cell(dmu)
-    if out is None:
-        out = np.empty_like(x)
-    order = np.argsort(out.strides, kind="stable")[::-1]
-    filled = out.transpose(order)
-    np.conjugate(np.swapaxes(x, -1, -2).transpose(order), out=filled)
-    np.subtract(x.transpose(order), filled, out=filled)
-    return out
+    # one buffer, subtracted into in place: a second temporary costs more
+    out = np.conjugate(np.swapaxes(x, -1, -2), out=np.empty_like(x))
+    return np.subtract(x, out, out=out)

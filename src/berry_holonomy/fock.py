@@ -160,10 +160,6 @@ def _raising_exp(c, j: int, D: int) -> np.ndarray:
     return out
 
 
-def _floor_buffer(lam: complex, mu: complex) -> int:
-    return max(4, math.ceil(2 * abs(lam) ** 2 + 8 * abs(mu)))
-
-
 def displacement_buffer(lam: complex, D: int) -> int:
     """Interior buffer for the displacement disentangling check.
 
@@ -173,7 +169,7 @@ def displacement_buffer(lam: complex, D: int) -> int:
     ceil(6 + 13 |lam| sqrt(D / 64)) levels of the cut, so one more is taken.
     """
     b = math.ceil(7 + 13 * abs(lam) * math.sqrt(D / 64.0))
-    return min(max(b, _floor_buffer(lam, 0)), D - 4)
+    return min(b, D - 4)
 
 
 def squeeze_buffer(mu: complex, D: int) -> int:
@@ -188,7 +184,7 @@ def squeeze_buffer(mu: complex, D: int) -> int:
     |mu| ~ 0.6), the interior keeps some of the truncation.
     """
     b = math.ceil(D * (1.0 - math.exp(-2 * abs(mu)))) + 12
-    return min(max(b, _floor_buffer(0, mu)), D - 4)
+    return min(b, D - 4)
 
 
 def _split_deviation(diff: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

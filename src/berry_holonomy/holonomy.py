@@ -12,8 +12,8 @@ stacked matmul above ELEMENTWISE_MAX_M.  The exponentials are truncated
 Taylor series of the lowest degree whose range covers the stack's largest
 1-norm, and the guard needs eigenvalues only when some step's Frobenius
 norm reaches pi.
-`logm` is the principal logarithm of a unitary matrix.  The module needs
-nothing beyond numpy.
+`logm` is the principal logarithm of every unitary matrix of a stack.
+The module needs nothing beyond numpy.
 `LoopPath.gauss_steps` places the nodes of every loop integral strictly
 inside the loop's smooth pieces, never on a corner.  A loop's `point_at`
 and `velocity_at` take arrays of t, so `loop_one_form` evaluates the
@@ -134,19 +134,14 @@ def loop_one_form(loop: LoopPath, m: int) -> Tuple[np.ndarray, np.ndarray]:
     shape (2, m, m, *batch, steps), from one batched evaluation.  Every loop
     integral sums over these nodes.
 
-    Up to ELEMENTWISE_MAX_M the array is contiguous with the steps last,
-    the layout `_stack_matmul` reads there, and `contract_one_form` writes
-    it directly; above, it is a view of the contraction in which every
-    step's matrix is contiguous.
+    The array is laid out as `_stack_matmul` reads it: up to
+    ELEMENTWISE_MAX_M a contiguous copy with the steps last, above it a
+    view of the contraction in which every step's matrix is contiguous.
     """
     h, nodes = loop.gauss_steps()
     cm = connection_closed(loop.point_at(nodes), m)
-    velocity = loop.velocity_at(nodes)
-    if m > ELEMENTWISE_MAX_M:
-        return h, np.moveaxis(contract_one_form(cm, *velocity), (-3, -2, -1), (0, 1, 2))
-    a = np.empty((2, m, m) + cm.a_lambda.shape[:-3], dtype=complex)
-    contract_one_form(cm, *velocity, out=np.moveaxis(a, (0, 1, 2), (-3, -2, -1)))
-    return h, a
+    a = np.moveaxis(contract_one_form(cm, *loop.velocity_at(nodes)), (-3, -2, -1), (0, 1, 2))
+    return h, (np.ascontiguousarray(a) if m <= ELEMENTWISE_MAX_M else a)
 
 
 def lambda_circle(
@@ -354,7 +349,7 @@ def transport(
 
 
 def logm(w: np.ndarray) -> np.ndarray:
-    """Principal logarithm of a unitary matrix W.
+    """Principal logarithm of every unitary matrix W of a (..., m, m) stack.
 
     The Cayley transform X = (W + I)^-1 (W - I) maps each eigenvalue
     e^{i theta} of W to i tan(theta/2) and keeps the eigenvectors, so
@@ -363,18 +358,19 @@ def logm(w: np.ndarray) -> np.ndarray:
     part H of i X.  arctan is odd, so with the SVD H = U S V+ it is
     U arctan(S) V+, the same matrix as from the eigenpairs of H; the SVD
     keeps numpy's `eigh` to the Fock layer, where perfbench's tracer books
-    every call of it.  Raises FloatingPointError when W + I has a singular
-    value below LOG_MIN_GAP: W has an eigenvalue at -1, where the principal
-    branch is not defined.
+    every call of it.  The gap check, the solve and the SVD each take the
+    whole stack.  Raises FloatingPointError when some W + I has a singular
+    value below LOG_MIN_GAP: that W has an eigenvalue at -1, where the
+    principal branch is not defined.
     """
-    eye = np.eye(w.shape[0])
-    if np.linalg.svd(w + eye, compute_uv=False)[-1] < LOG_MIN_GAP:
+    eye = np.eye(w.shape[-1])
+    if (np.linalg.svd(w + eye, compute_uv=False)[..., -1] < LOG_MIN_GAP).any():
         raise FloatingPointError(
             "matrix logarithm: W has an eigenvalue at -1, where no principal branch exists"
         )
     x = np.linalg.solve(w + eye, w - eye)
-    u, s, vh = np.linalg.svd(0.5j * (x - x.conj().T))
-    return (u * (-2j * np.arctan(s))) @ vh
+    u, s, vh = np.linalg.svd(0.5j * (x - np.swapaxes(x.conj(), -1, -2)))
+    return (u * (-2j * np.arctan(s))[..., None, :]) @ vh
 
 
 def parallel_transport(loop: LoopPath, m: int) -> Tuple[np.ndarray, float | np.ndarray, np.ndarray]:
@@ -411,9 +407,8 @@ def small_loop_check(
     f_uv = contract_two_form(curvature_closed(center, m), u, v)
     sides = np.array([eps, eps / 2.0])
     squares = square_loop(center, plane, sides, CHECK_STEPS_PER_SIDE)
-    r_full, r_half = (
-        float(np.abs(logm(w) + f_uv * e * e).max()) for w, e in zip(transport(squares, m), sides)
-    )
+    e = sides[:, None, None]
+    r_full, r_half = map(float, np.abs(logm(transport(squares, m)) + f_uv * e * e).max(axis=(1, 2)))
     return r_full, r_half, (r_full / r_half if r_half > 0 else float("inf"))
 
 
@@ -447,8 +442,7 @@ def holonomy_algebra_dimension(centers: Sequence[ParameterPoint], m: int) -> int
         ALGEBRA_EPS,
         ALGEBRA_STEPS_PER_SIDE,
     )
-    ws = transport(squares, m)
-    return _based_closure(c, m, np.reshape([logm(w) for w in ws.reshape(-1, m, m)], ws.shape))
+    return _based_closure(c, m, logm(transport(squares, m)))
 
 
 def transported_curvature_dimension(centers: Sequence[ParameterPoint], m: int) -> int:

@@ -527,6 +527,18 @@ def test_holonomy_loop_file(tmp_path):
     assert len(w) == 2 and len(w[0]) == 2
 
 
+def test_holonomy_loop_file_must_be_a_list(tmp_path, capsys):
+    """The loop file is a JSON list of vertices; an object that wraps one,
+    such as {"vertices": [...]}, is a configuration error."""
+    lf = tmp_path / "loop.json"
+    lf.write_text('{"vertices": [["0.3", "0"], ["0", "0.3"], ["-0.3", "0"]]}')
+    out = tmp_path / "out"
+    assert main(["holonomy", "--m", "2", "--loop", str(lf), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "loop file must hold a JSON list of [lam, mu] vertices" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("samples, steps", [(4, 96), (4096, 4092)])
 def test_holonomy_loop_file_reports_steps_taken(tmp_path, samples, steps):
     """A --loop polygon takes max(16, samples // sides) steps a side, and the

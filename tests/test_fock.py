@@ -204,6 +204,17 @@ def test_buffers_bracketed():
         assert 4 <= squeeze_buffer(z, 64) <= 60
 
 
+@pytest.mark.parametrize("D", [5, 6, 8, 16, 33, 64, 128, 512, 4096])
+def test_buffers_cover_the_amplitude_floor(D):
+    """Each buffer is at least max(4, ceil(2|lam|^2)) for the displacement
+    and max(4, ceil(8|mu|)) for the squeeze, or is clipped to D - 4: the
+    depth formulas alone cover that floor, so neither takes it."""
+    for r in np.concatenate([np.linspace(0.0, 10.0, 401), np.linspace(10.0, 200.0, 191)]):
+        d, s = displacement_buffer(r, D), squeeze_buffer(r, D)
+        assert d == D - 4 or d >= max(4, math.ceil(2 * r * r))
+        assert s == D - 4 or s >= max(4, math.ceil(8 * r))
+
+
 def _worst(rep, i: int) -> float:
     """The largest interior (i = 0) or boundary (i = 1) deviation of a
     report over both identities and all its points."""

@@ -19,11 +19,13 @@ from berry_holonomy import (
 )
 from berry_holonomy import holonomy
 from berry_holonomy.cli import SPAN_SAMPLE_POINTS, main
+from berry_holonomy.connection import connection_closed, contract_one_form
 from berry_holonomy.curvature import curvature_span_dimension
 from berry_holonomy.family import stack_points
 from berry_holonomy.holonomy import (
     ALGEBRA_EPS,
     ALGEBRA_STEPS_PER_SIDE,
+    ELEMENTWISE_MAX_M,
     PLANE_TANGENTS,
     _TAYLOR,
     _expm,
@@ -383,13 +385,20 @@ def _rotated(eigenvalues):
         np.diag([-1.0, 1.0]).astype(complex),
         -np.eye(3, dtype=complex),
         _rotated([np.exp(2.0j), -1.0, np.exp(-0.5j)]),
+        np.stack(
+            [
+                np.eye(3, dtype=complex),
+                _rotated([np.exp(2.0j), -1.0, np.exp(-0.5j)]),
+                _rotated([np.exp(3.0j), np.exp(-3.0j), 1.0]),
+            ]
+        ).reshape(3, 1, 3, 3),
     ],
-    ids=["diag", "minus-identity", "rotated"],
+    ids=["diag", "minus-identity", "rotated", "one-of-a-stack"],
 )
 def test_logm_rejects_eigenvalue_at_minus_one(w):
     """No principal log exists; the singular-value check on W + I stops
     `logm` with an error before the Cayley solve, instead of returning
-    another branch."""
+    another branch.  In a stack, one such matrix stops the whole call."""
     with pytest.raises(FloatingPointError, match="matrix logarithm: W has an eigenvalue at -1"):
         logm(w)
 
@@ -513,7 +522,8 @@ def test_batched_transport_matches_single_loops(name, m):
         assert np.abs(w - transport(loop, m)).max() < 1e-14
 
 
-def _algebra_loop_logs(m, steps_per_side):
+def _algebra_loop_holonomies(m, steps_per_side):
+    """W of the twelve squares of `holonomy_algebra_dimension`, (2, 6, m, m)."""
     c = stack_points(CENTERS)
     squares = _squares(
         ParameterPoint(c.lam[:, None], c.mu[:, None]),
@@ -521,7 +531,34 @@ def _algebra_loop_logs(m, steps_per_side):
         ALGEBRA_EPS,
         steps_per_side,
     )
-    return np.array([logm(w) for w in transport(squares, m).reshape(-1, m, m)])
+    return transport(squares, m)
+
+
+@pytest.mark.parametrize("m", [3, 4])
+def test_stacked_logm_equals_per_matrix_logm(m):
+    """One `logm` call on the algebra squares' stack gives each matrix's log
+    bit for bit as a call on that matrix alone."""
+    ws = _algebra_loop_holonomies(m, ALGEBRA_STEPS_PER_SIDE)
+    assert _same_bits(logm(ws), np.array([[logm(w) for w in row] for row in ws]))
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+@pytest.mark.parametrize("name", ["polygon", "squares"])
+def test_loop_one_form_is_the_contraction_moved_to_transport_layout(name, m):
+    """`loop_one_form` is `contract_one_form` at every Gauss node, moved to
+    (2, m, m, *batch, steps) bit for bit: contiguous up to
+    ELEMENTWISE_MAX_M, the steps last; above it every step's matrix is
+    contiguous."""
+    loop = _seeded_polygon() if name == "polygon" else _batch_cases()["squares"][0]
+    h, nodes = loop.gauss_steps()
+    x = contract_one_form(connection_closed(loop.point_at(nodes), m), *loop.velocity_at(nodes))
+    got_h, a = loop_one_form(loop, m)
+    assert _same_bits(got_h, h)
+    assert _same_bits(a, np.moveaxis(x, (-3, -2, -1), (0, 1, 2)))
+    if m <= ELEMENTWISE_MAX_M:
+        assert a.flags.c_contiguous
+    else:
+        assert a.strides[1:3] == (m * a.itemsize, a.itemsize)
 
 
 def test_algebra_loop_logs_at_equal_accuracy(monkeypatch):
@@ -531,8 +568,8 @@ def test_algebra_loop_logs_at_equal_accuracy(monkeypatch):
     those at 4x the steps by 1.5e-12 to 3.9e-12 of the largest log, and by
     3.2e-11 at one step a side, where the Magnus error shows; the gate sits
     between.  The dimensions at m = 3..6 do not move with the step count."""
-    coarse = _algebra_loop_logs(3, ALGEBRA_STEPS_PER_SIDE)
-    fine = _algebra_loop_logs(3, 4 * ALGEBRA_STEPS_PER_SIDE)
+    coarse = logm(_algebra_loop_holonomies(3, ALGEBRA_STEPS_PER_SIDE))
+    fine = logm(_algebra_loop_holonomies(3, 4 * ALGEBRA_STEPS_PER_SIDE))
     assert np.abs(coarse - fine).max() < 1e-11 * np.abs(fine).max()
     dims = [holonomy_algebra_dimension(CENTERS, m) for m in (3, 4, 5, 6)]
     assert dims == [9, 16, 25, 36]
