@@ -15,11 +15,11 @@ norm reaches pi.
 `logm` is the principal logarithm of every unitary matrix of a stack.
 The module needs nothing beyond numpy.
 `LoopPath.gauss_steps` places the nodes of every loop integral strictly
-inside the loop's smooth pieces, never on a corner.  A loop's `point_at`
-and `velocity_at` take arrays of t, so `loop_one_form` evaluates the
-closed connection at all nodes in one call, and `parallel_transport`
-takes W, the abelian diagonal phases and the path length from that one
-evaluation.
+inside the loop's `pieces` equal smooth pieces, never on a corner.  A
+loop's `at` maps an array of t to the points and velocities there from one
+evaluation, so `loop_one_form` evaluates the closed connection at all nodes
+in one call, and `parallel_transport` takes W, the abelian diagonal phases
+and the path length from the nodes of that one step grid.
 
 A polygon whose vertices are ParameterPoints of arrays is a batch of
 polygons, as a ParameterPoint of arrays is a batch of points: its points
@@ -95,30 +95,30 @@ _TAYLOR = ((2, 2.58e-8), (4, 3.40e-4), (6, 9.07e-3), (9, 8.96e-2), (12, 3.00e-1)
 class LoopPath:
     """A parameterized path in the (lam, mu) parameter space.
 
-    `point_at` maps an array of t in [0, 1] to a ParameterPoint whose lam
-    and mu broadcast to the shape of t, and `velocity_at` gives the
-    t-derivative (dlam, dmu) the same way.  A batch of loops (a polygon of
-    array vertices) puts its batch shape in front of the shape of t; all
-    its loops share one step grid.  `breakpoints` split [0, 1] into
-    pieces that are smooth inside (the sides of a polygon); `samples` is the
-    step count of one loop.
+    `at` maps an array of t in [0, 1] to (point, (dlam, dmu)): a
+    ParameterPoint whose lam and mu broadcast to the shape of t, and its
+    t-derivative the same way.  A batch of loops (a polygon of array
+    vertices) puts its batch shape in front of the shape of t; all its
+    loops share one step grid.  [0, 1] is cut into `pieces` equal pieces
+    that are smooth inside (the sides of a polygon); `samples` is the step
+    count of one loop.
     """
 
-    point_at: Callable[[np.ndarray], ParameterPoint]
-    velocity_at: Callable[[np.ndarray], Tuple[np.ndarray, np.ndarray]]
+    at: Callable[[np.ndarray], Tuple[ParameterPoint, Tuple[np.ndarray, np.ndarray]]]
     samples: int
     closed: bool = True
-    breakpoints: Tuple[float, ...] = (0.0, 1.0)
+    pieces: int = 1
 
     def gauss_steps(self) -> Tuple[np.ndarray, np.ndarray]:
         """Step lengths h, shape (steps,), and the two Gauss-Legendre nodes
         t_mid -+ h/(2 sqrt 3) of every step, shape (steps, 2).
 
-        Each breakpoint piece gets round(samples * length) equal steps (at
-        least one), so every node lies strictly inside its piece.
+        Piece [k/pieces, (k+1)/pieces] gets round(samples * length) equal
+        steps (at least one), so every node lies strictly inside its piece.
         """
         hs, mids = [], []
-        for lo, hi in zip(self.breakpoints[:-1], self.breakpoints[1:]):
+        for k in range(self.pieces):
+            lo, hi = k / self.pieces, (k + 1) / self.pieces
             n = max(1, round(self.samples * (hi - lo)))
             h = (hi - lo) / n
             hs.append(np.full(n, h))
@@ -139,8 +139,9 @@ def loop_one_form(loop: LoopPath, m: int) -> Tuple[np.ndarray, np.ndarray]:
     view of the contraction in which every step's matrix is contiguous.
     """
     h, nodes = loop.gauss_steps()
-    cm = connection_closed(loop.point_at(nodes), m)
-    a = np.moveaxis(contract_one_form(cm, *loop.velocity_at(nodes)), (-3, -2, -1), (0, 1, 2))
+    point, velocity = loop.at(nodes)
+    cm = connection_closed(point, m)
+    a = np.moveaxis(contract_one_form(cm, *velocity), (-3, -2, -1), (0, 1, 2))
     return h, (np.ascontiguousarray(a) if m <= ELEMENTWISE_MAX_M else a)
 
 
@@ -151,13 +152,11 @@ def lambda_circle(
     if radius <= 0:
         raise ValueError("radius must be positive")
 
-    def param(t) -> ParameterPoint:
-        return ParameterPoint(center + radius * np.exp(2j * np.pi * t), mu)
+    def at(t) -> Tuple[ParameterPoint, Tuple[np.ndarray, complex]]:
+        turn = np.exp(2j * np.pi * t)
+        return ParameterPoint(center + radius * turn, mu), (2j * np.pi * radius * turn, 0.0)
 
-    def vel(t) -> Tuple[np.ndarray, complex]:
-        return (2j * np.pi * radius * np.exp(2j * np.pi * t), 0.0)
-
-    return LoopPath(point_at=param, velocity_at=vel, samples=samples)
+    return LoopPath(at, samples)
 
 
 def polygon_loop(
@@ -173,7 +172,6 @@ def polygon_loop(
         raise ValueError("need at least two vertices")
     pts = verts + [verts[0]] if closed else verts
     n = len(pts) - 1
-    bps = tuple(i / n for i in range(n + 1))
     # z[0] and z[1]: lam and mu of every vertex, shape (*batch, vertices)
     shape = np.broadcast_shapes(*(np.shape(w) for p in pts for w in (p.lam, p.mu)))
     z = np.empty((2,) + shape + (len(pts),), dtype=complex)
@@ -181,29 +179,17 @@ def polygon_loop(
         z[0, ..., k], z[1, ..., k] = p.lam, p.mu
     velocities = n * (z[..., 1:] - z[..., :-1])  # constant along each side
 
-    def side(t) -> Tuple[np.ndarray, np.ndarray]:
-        """Index of the side each t lies on, and the fraction along it."""
+    def at(t) -> Tuple[ParameterPoint, Tuple[np.ndarray, np.ndarray]]:
+        # i: the side each t lies on, s: the fraction along it
         t = np.asarray(t, dtype=float)
         i = np.minimum((t * n).astype(int), n - 1)
-        return i, t * n - i
-
-    def param(t) -> ParameterPoint:
-        i, s = side(t)
-        return ParameterPoint(
+        s = t * n - i
+        point = ParameterPoint(
             *((1.0 - s) * np.take(w, i, axis=-1) + s * np.take(w, i + 1, axis=-1) for w in z)
         )
+        return point, tuple(np.take(w, i, axis=-1) for w in velocities)
 
-    def vel(t) -> Tuple[np.ndarray, np.ndarray]:
-        i, _ = side(t)
-        return tuple(np.take(w, i, axis=-1) for w in velocities)
-
-    return LoopPath(
-        point_at=param,
-        velocity_at=vel,
-        samples=samples_per_side * n,
-        closed=closed,
-        breakpoints=bps,
-    )
+    return LoopPath(at, samples_per_side * n, closed, n)
 
 
 def _squares(center: ParameterPoint, tangents, eps, samples_per_side: int) -> LoopPath:
@@ -386,7 +372,8 @@ def parallel_transport(loop: LoopPath, m: int) -> Tuple[np.ndarray, float | np.n
         raise ValueError("holonomy requires a closed loop")
     h, a = loop_one_form(loop, m)
     _, nodes = loop.gauss_steps()
-    speed = np.hypot(*map(np.abs, loop.velocity_at(nodes)))
+    _, velocity = loop.at(nodes)
+    speed = np.hypot(*map(np.abs, velocity))
     return (
         transport(loop, m, one_form=(h, a)),
         0.5 * (speed.reshape(speed.shape[:-2] + (-1,)) @ np.repeat(h, 2)),

@@ -157,29 +157,13 @@ def derivative_identity_report(z: complex) -> Tuple[float, float, float]:
     def t_of(w: np.ndarray) -> np.ndarray:
         return w * tanhc(abs(w))
 
-    wirt = lambda f, w: wirtinger_derivative(f, w, h)[0]
-
     x = abs(z)
     th = math.tanh(x)
     toverx = tanhc(x)
-
-    d1_num = wirt(t_of, z)
-    d1_ref = 0.5 * (1.0 - th * th + toverx)
-    dev1 = abs(d1_num - d1_ref)
-
-    def logf(w: np.ndarray) -> np.ndarray:
-        tw = t_of(w)
-        return np.log(1.0 - tw * np.conj(tw))
-
-    d2_num = wirt(logf, z)
-    d2_ref = -np.conj(z) * toverx
-    dev2 = abs(d2_num - d2_ref)
-
-    def tbar(w: np.ndarray) -> np.ndarray:
-        return np.conj(t_of(w))
-
-    d3_num = wirt(tbar, z)
-    d3_ref = (np.conj(z) ** 2 / (2.0 * x * x)) * (1.0 - th * th - toverx)
-    dev3 = abs(d3_num - d3_ref)
-
-    return dev1, dev2, dev3
+    # (function of w, its closed-form d_z at z), one row per identity
+    identities = (
+        (t_of, 0.5 * (1.0 - th * th + toverx)),
+        (lambda w: np.log(1.0 - t_of(w) * np.conj(t_of(w))), -np.conj(z) * toverx),
+        (lambda w: np.conj(t_of(w)), (np.conj(z) ** 2 / (2.0 * x * x)) * (1.0 - th * th - toverx)),
+    )
+    return tuple(abs(wirtinger_derivative(f, z, h)[0] - ref) for f, ref in identities)

@@ -373,7 +373,7 @@ def test_log_failure_exit_code(monkeypatch, capsys):
 
     def minus_identity(loop, m, **kw):
         """-I for every loop of the batch."""
-        batch = np.shape(loop.point_at(0.0).lam)
+        batch = np.shape(loop.at(0.0)[0].lam)
         return np.broadcast_to(-np.eye(m, dtype=complex), batch + (m, m))
 
     monkeypatch.setattr("berry_holonomy.holonomy.transport", minus_identity)

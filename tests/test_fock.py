@@ -287,6 +287,26 @@ def test_squeeze_buffer_holds_the_truncation(mu, D):
     assert bch_identity_report(0.196 - 0.063j, mu, D)["squeeze"][0] <= 1e-12
 
 
+@pytest.mark.parametrize("mu, D", [(0.5, 64), (1.0, 128)])
+def test_squeeze_buffer_is_as_deep_as_the_truncation(mu, D):
+    """At large |mu| the squeeze buffer holds the truncation to 1e-12
+    against the squeeze on 4D levels (`scipy.linalg.expm`) and is at most 4
+    levels deeper than the least buffer that does: 44 and 103 levels here.
+    The classical band D (1 - e^{-2|mu|}) plus 12 took 53 and 123."""
+
+    def squeeze(n: int) -> np.ndarray:
+        kp = make_operators(n)["K_plus"]
+        return scipy.linalg.expm(mu * kp - np.conj(mu) * kp.conj().T)
+
+    dev = np.abs(squeeze(D) - squeeze(4 * D)[:D, :D])
+    # worst deviation on the leading k x k block, k = 1..D
+    block = np.array([dev[:k, :k].max() for k in range(1, D + 1)])
+    needed = D - np.count_nonzero(block <= 1e-12)
+    b = squeeze_buffer(mu, D)
+    assert block[D - b - 1] <= 1e-12
+    assert b - needed <= 4
+
+
 @pytest.mark.parametrize("lam, D", [(0.5, 64), (0.5 * cmath.exp(0.25j * math.pi), 96)])
 def test_displacement_buffer_holds_the_truncation(lam, D):
     """Inside its buffer the truncated displacement agrees with the

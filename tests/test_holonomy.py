@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from berry_holonomy import (
     ClosureNotStabilized,
+    LoopPath,
     ParameterPoint,
     holonomy_algebra_dimension,
     lambda_circle,
@@ -43,20 +44,65 @@ CENTERS = (
 )
 
 
-def test_polygon_breakpoints_and_velocity():
+def test_polygon_pieces_and_velocity():
     verts = [
         ParameterPoint(0.0, 0.0),
         ParameterPoint(0.5, 0.0),
         ParameterPoint(0.5, 0.5),
     ]
     loop = polygon_loop(verts, samples_per_side=32)
-    assert loop.breakpoints == (0.0, 1.0 / 3.0, 2.0 / 3.0, 1.0)
-    assert loop.point_at(0.0).lam == 0.0
-    assert loop.point_at(1.0).lam == 0.0
+    assert loop.pieces == 3
+    assert loop.at(0.0)[0].lam == 0.0
+    assert loop.at(1.0)[0].lam == 0.0
     # first side runs lam from 0 to 0.5 over a third of the parameter
-    dlam, dmu = loop.velocity_at(0.1)
+    _, (dlam, dmu) = loop.at(0.1)
     assert dlam == pytest.approx(1.5)
     assert dmu == 0.0
+
+
+def _at_cases():
+    """Loops whose `at` the property tests read: a circle off the origin at
+    mu != 0, a batch of three 5-vertex polygons and the twelve algebra
+    squares."""
+    rng = np.random.default_rng(32)
+    z = rng.uniform(0, 0.8, (5, 2, 3)) * np.exp(2j * np.pi * rng.uniform(size=(5, 2, 3)))
+    return {
+        "circle": lambda_circle(0.3, 0.4 + 0.2j, samples=64, center=0.1 - 0.2j),
+        "polygons": polygon_loop([ParameterPoint(lam, mu) for lam, mu in z], samples_per_side=9),
+        "algebra-squares": _algebra_squares(ALGEBRA_STEPS_PER_SIDE),
+    }
+
+
+@pytest.mark.parametrize("name", ["circle", "polygons", "algebra-squares"])
+def test_loop_velocity_is_the_derivative_of_its_point(name):
+    """The velocity that `at` returns with the point is the point's
+    t-derivative: central differences of step 1e-6 at every Gauss node,
+    which lies at least 0.2 h inside its piece, agree with it to 1e-7 of
+    the largest speed, in both coordinates and for every loop of a batch."""
+    loop = _at_cases()[name]
+    _, nodes = loop.gauss_steps()
+    _, velocity = loop.at(nodes)
+    dt = 1e-6
+    ahead, behind = loop.at(nodes + dt)[0], loop.at(nodes - dt)[0]
+    speed = np.hypot(*map(np.abs, velocity)).max()
+    for coord, v in zip(("lam", "mu"), velocity):
+        fd = (getattr(ahead, coord) - getattr(behind, coord)) / (2.0 * dt)
+        assert np.abs(fd - v).max() <= 1e-7 * speed
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples=st.integers(1, 5000), pieces=st.sampled_from([1, 3, 4, 6]))
+def test_gauss_nodes_lie_strictly_inside_their_pieces(samples, pieces):
+    """The steps of `gauss_steps` tile [0, 1] with every piece end
+    k / pieces on a step edge, and both nodes of every step lie strictly
+    inside the piece that holds the step's midpoint."""
+    h, nodes = LoopPath(None, samples, pieces=pieces).gauss_steps()
+    edges = np.concatenate([[0.0], np.cumsum(h)])
+    assert edges[-1] == pytest.approx(1.0, abs=1e-12)
+    for k in range(pieces + 1):
+        assert np.abs(edges - k / pieces).min() <= 1e-12
+    piece = np.floor(nodes.mean(axis=1) * pieces)[:, None]
+    assert ((piece / pieces < nodes) & (nodes < (piece + 1) / pieces)).all()
 
 
 def test_polygon_needs_two_vertices():
@@ -512,26 +558,30 @@ def test_batched_transport_matches_single_loops(name, m):
     ELEMENTWISE_MAX_M."""
     batch, loops = _batch_cases()[name]
     _, nodes = batch.gauss_steps()
-    point, velocity = batch.point_at(nodes), batch.velocity_at(nodes)
+    point, velocity = batch.at(nodes)
     ws = transport(batch, m)
     assert ws.shape == (len(loops), m, m)
     for k, (loop, w) in enumerate(zip(loops, ws)):
-        one = loop.point_at(nodes)
+        one, one_velocity = loop.at(nodes)
         assert _same_bits(point.lam[k], one.lam) and _same_bits(point.mu[k], one.mu)
-        assert all(_same_bits(v[k], u) for v, u in zip(velocity, loop.velocity_at(nodes)))
+        assert all(_same_bits(v[k], u) for v, u in zip(velocity, one_velocity))
         assert np.abs(w - transport(loop, m)).max() < 1e-14
 
 
-def _algebra_loop_holonomies(m, steps_per_side):
-    """W of the twelve squares of `holonomy_algebra_dimension`, (2, 6, m, m)."""
+def _algebra_squares(steps_per_side):
+    """The twelve squares of `holonomy_algebra_dimension`, a (2, 6) batch."""
     c = stack_points(CENTERS)
-    squares = _squares(
+    return _squares(
         ParameterPoint(c.lam[:, None], c.mu[:, None]),
         list(PLANE_TANGENTS.values()),
         ALGEBRA_EPS,
         steps_per_side,
     )
-    return transport(squares, m)
+
+
+def _algebra_loop_holonomies(m, steps_per_side):
+    """W of the twelve squares of `holonomy_algebra_dimension`, (2, 6, m, m)."""
+    return transport(_algebra_squares(steps_per_side), m)
 
 
 @pytest.mark.parametrize("m", [3, 4])
@@ -551,7 +601,8 @@ def test_loop_one_form_is_the_contraction_moved_to_transport_layout(name, m):
     contiguous."""
     loop = _seeded_polygon() if name == "polygon" else _batch_cases()["squares"][0]
     h, nodes = loop.gauss_steps()
-    x = contract_one_form(connection_closed(loop.point_at(nodes), m), *loop.velocity_at(nodes))
+    point, velocity = loop.at(nodes)
+    x = contract_one_form(connection_closed(point, m), *velocity)
     got_h, a = loop_one_form(loop, m)
     assert _same_bits(got_h, h)
     assert _same_bits(a, np.moveaxis(x, (-3, -2, -1), (0, 1, 2)))
