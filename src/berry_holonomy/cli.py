@@ -10,7 +10,8 @@ Subcommands:
   chern           trace forms entering second-character integrands
 
 Each subcommand accepts only the settings it reads (`Command.settings`), as
-flags and as `--config` file keys.
+flags and as `--config` file keys; `--lambda`, `--mu` and `--loop` are flags
+only, never config keys.
 Complex values on the command line use `a+bi` notation ("0.5", "0.5+0.25i",
 "-0.3i").  JSON output is canonical: keys sorted, compact separators, complex
 numbers as [re, im] pairs, matrices row-major.  Everything that can vary
@@ -19,8 +20,8 @@ between identical runs (timestamps, runtime) lives under "meta"; the
 
 Exit codes: 0 success (all checks passed where applicable), 1 tolerance
 breach, 2 configuration error (including non-finite inputs, a tolerance of
-zero or below, --grid given together with --lambda or --mu, files that
-cannot be opened, and inputs that ask for an
+zero or below, --grid given together with --lambda or --mu, --loop
+together with --mu, files that cannot be opened, and inputs that ask for an
 array too large to allocate; the message names the allocation), 3
 numerical failure (an overflow, invalid operation or division by zero in
 numpy, a linear-algebra routine that did not converge, a transport step too
@@ -385,6 +386,8 @@ def _verify(args: argparse.Namespace, cfg: argparse.Namespace) -> dict:
 def _load_loop(args: argparse.Namespace, cfg: argparse.Namespace):
     if args.loop is None:
         return lambda_circle(0.5, mu=_complex_arg(args, "mu", 0.0), samples=cfg.samples)
+    if args.mu is not None:
+        raise ConfigError("--loop and --mu both given: --mu sets the mu of the default circle")
     with open(args.loop) as fh:
         raw = json.load(fh)
     if not isinstance(raw, list) or len(raw) < 2:

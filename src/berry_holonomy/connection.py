@@ -85,20 +85,19 @@ class ConnectionMatrices(NamedTuple):
 
 def connection_closed(p: ParameterPoint, m: int) -> ConnectionMatrices:
     """Closed-form A_lam, A_mu in the vacuum frame, shape (..., m, m) for a
-    batch of points."""
+    batch of points; the mu profiles are taken on mu's own shape."""
     if m < 1:
         raise ValueError("m must be positive")
-    lam, mu = np.broadcast_arrays(
-        np.asarray(p.lam, dtype=complex), np.asarray(p.mu, dtype=complex)
-    )
+    lam, mu = np.asarray(p.lam, dtype=complex), np.asarray(p.mu, dtype=complex)
+    shape = np.broadcast_shapes(lam.shape, mu.shape)
     x = np.abs(mu)
     s = sinhc(x)
     col = lambda z: np.asarray(z)[..., None]
     i = np.arange(m)
     w1 = np.sqrt(i[1:] * 1.0)
     w2 = np.sqrt((i[: m - 2] + 1.0) * (i[: m - 2] + 2.0))
-    a_lam = np.zeros(lam.shape + (m, m), dtype=complex)
-    a_mu = np.zeros(lam.shape + (m, m), dtype=complex)
+    a_lam = np.zeros(shape + (m, m), dtype=complex)
+    a_mu = np.zeros(shape + (m, m), dtype=complex)
     a_lam[..., i, i] = col(0.5 * np.conj(lam))
     a_lam[..., i[1:], i[:-1]] = w1 * col(np.cosh(x))
     a_lam[..., i[:-1], i[1:]] = w1 * col(np.conj(mu) * s)

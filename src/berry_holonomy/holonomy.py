@@ -14,12 +14,12 @@ Taylor series of the lowest degree whose range covers the stack's largest
 norm reaches pi.
 `logm` is the principal logarithm of every unitary matrix of a stack.
 The module needs nothing beyond numpy.
-`LoopPath.gauss_steps` places the nodes of every loop integral strictly
-inside the loop's `pieces` equal smooth pieces, never on a corner.  A
-loop's `at` maps an array of t to the points and velocities there from one
-evaluation, so `loop_one_form` evaluates the closed connection at all nodes
-in one call, and `parallel_transport` takes W, the abelian diagonal phases
-and the path length from the nodes of that one step grid.
+`LoopPath.gauss_steps` cuts each of the loop's `pieces` equal smooth pieces
+into round(samples / pieces) equal steps, whose nodes never lie on a corner.
+A loop's `at` maps an array of t to the points and velocities there, so
+`loop_one_form` evaluates the loop and the closed connection once at all
+nodes, and `parallel_transport` takes W, the abelian diagonal phases and the
+path length from that one evaluation.
 
 A polygon whose vertices are ParameterPoints of arrays is a batch of
 polygons, as a ParameterPoint of arrays is a batch of points: its points
@@ -113,26 +113,23 @@ class LoopPath:
         """Step lengths h, shape (steps,), and the two Gauss-Legendre nodes
         t_mid -+ h/(2 sqrt 3) of every step, shape (steps, 2).
 
-        Piece [k/pieces, (k+1)/pieces] gets round(samples * length) equal
-        steps (at least one), so every node lies strictly inside its piece.
+        Every piece [k/pieces, (k+1)/pieces] gets max(1, round(samples /
+        pieces)) equal steps, so every node lies strictly inside its piece.
         """
-        hs, mids = [], []
-        for k in range(self.pieces):
-            lo, hi = k / self.pieces, (k + 1) / self.pieces
-            n = max(1, round(self.samples * (hi - lo)))
-            h = (hi - lo) / n
-            hs.append(np.full(n, h))
-            mids.append(lo + (np.arange(n) + 0.5) * h)
-        h, mid = np.concatenate(hs), np.concatenate(mids)
+        n = max(1, round(self.samples / self.pieces))
+        ends = np.arange(self.pieces + 1) / self.pieces
+        h = np.repeat(np.diff(ends) / n, n)
+        mid = np.repeat(ends[:-1], n) + np.tile(np.arange(n) + 0.5, self.pieces) * h
         off = h / (2.0 * math.sqrt(3.0))
         return h, np.stack([mid - off, mid + off], axis=1)
 
 
-def loop_one_form(loop: LoopPath, m: int) -> Tuple[np.ndarray, np.ndarray]:
-    """Step lengths h, shape (steps,), and the contracted one-form
-    A(gamma') at the two Gauss nodes of every step of `loop.gauss_steps()`,
-    shape (2, m, m, *batch, steps), from one batched evaluation.  Every loop
-    integral sums over these nodes.
+def loop_one_form(loop: LoopPath, m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h, a, speed) at the two Gauss nodes of every step of
+    `loop.gauss_steps()`, from one evaluation of the loop and of the
+    connection: step lengths h, shape (steps,), the contracted one-form
+    A(gamma'), shape (2, m, m, *batch, steps), and |gamma'|, shape
+    (*batch, steps, 2).  Every loop integral sums over these nodes.
 
     The array is laid out as `_stack_matmul` reads it: up to
     ELEMENTWISE_MAX_M a contiguous copy with the steps last, above it a
@@ -142,7 +139,8 @@ def loop_one_form(loop: LoopPath, m: int) -> Tuple[np.ndarray, np.ndarray]:
     point, velocity = loop.at(nodes)
     cm = connection_closed(point, m)
     a = np.moveaxis(contract_one_form(cm, *velocity), (-3, -2, -1), (0, 1, 2))
-    return h, (np.ascontiguousarray(a) if m <= ELEMENTWISE_MAX_M else a)
+    a = np.ascontiguousarray(a) if m <= ELEMENTWISE_MAX_M else a
+    return h, a, np.hypot(*map(np.abs, velocity))
 
 
 def lambda_circle(
@@ -285,7 +283,7 @@ def _expm(a: np.ndarray) -> np.ndarray:
 
 
 def transport(
-    loop: LoopPath, m: int, *, one_form: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    loop: LoopPath, m: int, *, one_form: Optional[Tuple[np.ndarray, ...]] = None
 ) -> np.ndarray:
     """Fourth-order Gauss-Magnus transport along the full path; one polar
     projection at the end.  A batch of loops (a polygon of array vertices)
@@ -298,17 +296,17 @@ def transport(
     product of the steps is taken pairwise, halving the steps axis with one
     `_stack_matmul` per level (the last step of an odd stack multiplies the
     last pair), so no two loops' steps are ever multiplied together.
-    `one_form` is `loop_one_form(loop, m)` when the caller has it already.
-    The polar projection removes the roundoff that the product of many
-    steps accumulates, which would otherwise reach the logarithm of a small
-    loop.  Raises FloatingPointError when Omega is not finite or a step's
-    i Omega has an eigenvalue of magnitude pi or more: such a step lies
-    outside the Magnus convergence radius, and more samples are needed.
-    The Frobenius norm of the hermitian i Omega bounds its eigenvalues, so
-    the eigenvalues (`eigvalsh` on the stack) are taken only when some
-    step's |Omega|_F is pi or more.
+    `one_form` is `loop_one_form(loop, m)` when the caller has it already
+    (its speed is not read).  The polar projection removes the roundoff that
+    the product of many steps accumulates, which would otherwise reach the
+    logarithm of a small loop.  Raises FloatingPointError when Omega is not
+    finite or a step's i Omega has an eigenvalue of magnitude pi or more:
+    such a step lies outside the Magnus convergence radius, and more samples
+    are needed.  The Frobenius norm of the hermitian i Omega bounds its
+    eigenvalues, so the eigenvalues (`eigvalsh` on the stack) are taken only
+    when some step's |Omega|_F is pi or more.
     """
-    h, (a1, a2) = loop_one_form(loop, m) if one_form is None else one_form
+    h, (a1, a2), _ = loop_one_form(loop, m) if one_form is None else one_form
     omega = _stack_matmul(a2, a1) - _stack_matmul(a1, a2)
     omega *= (math.sqrt(3.0) / 12.0) * h * h
     omega -= 0.5 * h * (a1 + a2)
@@ -362,7 +360,7 @@ def logm(w: np.ndarray) -> np.ndarray:
 def parallel_transport(loop: LoopPath, m: int) -> Tuple[np.ndarray, float | np.ndarray, np.ndarray]:
     """(w, path_length, diagonal_phases): the holonomy W of a closed loop,
     its path length, and the abelian phases Im oint A_ii, all summed over
-    the nodes of one one-form evaluation; a batch of loops stacks them as
+    the nodes of one `loop_one_form` call; a batch of loops stacks them as
     (*batch, m, m), (*batch,) and (*batch, m).
 
     For a lam-circle of radius r at mu = 0 every phase is 2 pi r^2
@@ -370,12 +368,9 @@ def parallel_transport(loop: LoopPath, m: int) -> Tuple[np.ndarray, float | np.n
     (mod 2 pi) up to rounding."""
     if not loop.closed:
         raise ValueError("holonomy requires a closed loop")
-    h, a = loop_one_form(loop, m)
-    _, nodes = loop.gauss_steps()
-    _, velocity = loop.at(nodes)
-    speed = np.hypot(*map(np.abs, velocity))
+    h, a, speed = one_form = loop_one_form(loop, m)
     return (
-        transport(loop, m, one_form=(h, a)),
+        transport(loop, m, one_form=one_form),
         0.5 * (speed.reshape(speed.shape[:-2] + (-1,)) @ np.repeat(h, 2)),
         0.5 * np.einsum("nii...s,s->...i", a, h).imag,
     )

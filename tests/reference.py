@@ -292,7 +292,7 @@ def pade_expm(a: np.ndarray) -> np.ndarray:
 
 
 def matmul_transport(
-    loop: LoopPath, m: int, *, one_form: Optional[Tuple[np.ndarray, np.ndarray]] = None
+    loop: LoopPath, m: int, *, one_form: Optional[Tuple[np.ndarray, ...]] = None
 ) -> np.ndarray:
     """Fourth-order Gauss-Magnus transport along the full path; one polar
     projection at the end.
@@ -313,7 +313,7 @@ def matmul_transport(
     the eigenvalues (`eigvalsh` on the stack) are taken only when some
     step's |Omega|_F is pi or more.
     """
-    h, a = loop_one_form(loop, m) if one_form is None else one_form
+    h, a, _ = loop_one_form(loop, m) if one_form is None else one_form
     a1, a2 = np.moveaxis(a, -1, 1)
     hh = h[:, None, None]
     omega = -0.5 * hh * (a1 + a2) + (math.sqrt(3.0) / 12.0) * hh * hh * (a2 @ a1 - a1 @ a2)

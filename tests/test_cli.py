@@ -539,6 +539,19 @@ def test_holonomy_loop_file_must_be_a_list(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_holonomy_loop_file_with_mu_is_rejected(tmp_path, capsys):
+    """--mu sets the mu of the default circle; with a --loop file, whose
+    vertices carry their own mu, it is a configuration error, not ignored."""
+    lf = tmp_path / "loop.json"
+    lf.write_text('[["0.3", "0"], ["0", "0.3"], ["-0.3", "0"]]')
+    out = tmp_path / "out"
+    argv = ["holonomy", "--m", "2", "--loop", str(lf), "--mu", "0.7", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: --loop and --mu both given")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("samples, steps", [(4, 96), (4096, 4092)])
 def test_holonomy_loop_file_reports_steps_taken(tmp_path, samples, steps):
     """A --loop polygon takes max(16, samples // sides) steps a side, and the

@@ -273,9 +273,9 @@ def test_factorization_batch_equals_pointwise(dim64, monkeypatch):
 def test_squeeze_buffer_holds_the_truncation(mu, D):
     """Inside its buffer the truncated squeeze agrees with the squeeze on
     4D levels (`scipy.linalg.expm`) to 1e-12, so the report's squeeze
-    interior holds roundoff only.  A slack of 6 levels in place of 12 would
-    give 11 at the first point, where the truncation needs 14, and the
-    report would read the 1.4e-8 truncation error."""
+    interior holds roundoff only.  `squeeze_buffer` gives 19 levels at the
+    first point, where the truncation needs 14; a buffer shallower than 14
+    would let the report read the truncation error."""
 
     def squeeze(n: int) -> np.ndarray:
         kp = make_operators(n)["K_plus"]

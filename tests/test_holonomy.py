@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -94,8 +95,9 @@ def test_loop_velocity_is_the_derivative_of_its_point(name):
 @given(samples=st.integers(1, 5000), pieces=st.sampled_from([1, 3, 4, 6]))
 def test_gauss_nodes_lie_strictly_inside_their_pieces(samples, pieces):
     """The steps of `gauss_steps` tile [0, 1] with every piece end
-    k / pieces on a step edge, and both nodes of every step lie strictly
-    inside the piece that holds the step's midpoint."""
+    k / pieces on a step edge, both nodes of every step lie strictly
+    inside the piece that holds the step's midpoint, and every piece holds
+    max(1, round(samples / pieces)) steps."""
     h, nodes = LoopPath(None, samples, pieces=pieces).gauss_steps()
     edges = np.concatenate([[0.0], np.cumsum(h)])
     assert edges[-1] == pytest.approx(1.0, abs=1e-12)
@@ -103,6 +105,8 @@ def test_gauss_nodes_lie_strictly_inside_their_pieces(samples, pieces):
         assert np.abs(edges - k / pieces).min() <= 1e-12
     piece = np.floor(nodes.mean(axis=1) * pieces)[:, None]
     assert ((piece / pieces < nodes) & (nodes < (piece + 1) / pieces)).all()
+    per_piece = np.bincount(piece[:, 0].astype(int), minlength=pieces)
+    assert (per_piece == max(1, round(samples / pieces))).all()
 
 
 def test_polygon_needs_two_vertices():
@@ -222,6 +226,25 @@ def test_parallel_transport_batch_of_triangles(m):
         assert np.abs(w[k] - w_k).max() < 1e-14
         assert length[k] == pytest.approx(length_k, rel=1e-14)
         assert np.abs(phases[k] - phases_k).max() < 1e-14
+
+
+@pytest.mark.parametrize("batch", [False, True])
+def test_parallel_transport_evaluates_its_loop_once(batch, monkeypatch):
+    """W, the path length and the phases all come from one `gauss_steps`
+    call and one `at` call, on a circle and on a batch of polygons."""
+    if batch:
+        loop = _batch_cases()["squares"][0]
+    else:
+        loop = lambda_circle(0.5, mu=0.3j, samples=64)
+    calls = []
+    gauss_steps = LoopPath.gauss_steps
+    monkeypatch.setattr(
+        LoopPath, "gauss_steps", lambda self: calls.append("gauss_steps") or gauss_steps(self)
+    )
+    at = loop.at
+    spied = dataclasses.replace(loop, at=lambda t: calls.append("at") or at(t))
+    parallel_transport(spied, 2)
+    assert calls == ["gauss_steps", "at"]
 
 
 def test_small_loop_ratio():
@@ -475,7 +498,7 @@ def test_transport_matches_sequential_scipy_product():
     """The pairwise product of the batched Taylor steps against the step loop
     w <- expm(Omega_k) w with scipy's expm, on a polygon whose mu varies."""
     loop = polygon_loop(LOOP_A, samples_per_side=101)
-    h, a = loop_one_form(loop, 3)
+    h, a, _ = loop_one_form(loop, 3)
     a1, a2 = np.moveaxis(a, -1, 1)
     hh = h[:, None, None]
     omega = -0.5 * hh * (a1 + a2) + (math.sqrt(3.0) / 12.0) * hh * hh * (a2 @ a1 - a1 @ a2)
@@ -598,14 +621,15 @@ def test_loop_one_form_is_the_contraction_moved_to_transport_layout(name, m):
     """`loop_one_form` is `contract_one_form` at every Gauss node, moved to
     (2, m, m, *batch, steps) bit for bit: contiguous up to
     ELEMENTWISE_MAX_M, the steps last; above it every step's matrix is
-    contiguous."""
+    contiguous.  Its speed is |gamma'| at the same nodes."""
     loop = _seeded_polygon() if name == "polygon" else _batch_cases()["squares"][0]
     h, nodes = loop.gauss_steps()
     point, velocity = loop.at(nodes)
     x = contract_one_form(connection_closed(point, m), *velocity)
-    got_h, a = loop_one_form(loop, m)
+    got_h, a, speed = loop_one_form(loop, m)
     assert _same_bits(got_h, h)
     assert _same_bits(a, np.moveaxis(x, (-3, -2, -1), (0, 1, 2)))
+    assert _same_bits(speed, np.hypot(*map(np.abs, velocity)))
     if m <= ELEMENTWISE_MAX_M:
         assert a.flags.c_contiguous
     else:
@@ -629,9 +653,9 @@ def test_algebra_loop_logs_at_equal_accuracy(monkeypatch):
 
 
 def _one_step(omega):
-    """The (h, one-form) of one step of length 1 whose Omega is `omega`,
-    in the (2, m, m, steps) layout `transport` reads."""
-    return np.ones(1), np.broadcast_to(-omega[..., None], (2,) + omega.shape + (1,))
+    """The (h, one-form, no speed) of one step of length 1 whose Omega is
+    `omega`, in the (2, m, m, steps) layout `transport` reads."""
+    return np.ones(1), np.broadcast_to(-omega[..., None], (2,) + omega.shape + (1,)), None
 
 
 @pytest.mark.parametrize("factor, raises", [(1 - 1e-9, False), (1 + 1e-9, True)])
