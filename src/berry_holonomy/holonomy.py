@@ -49,6 +49,7 @@ same for both routes and for `curvature_span_dimension`.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence, Tuple
 
@@ -73,6 +74,15 @@ SEGMENT_STEPS = 256
 # least singular value of W + I that `logm` accepts: below it W has an
 # eigenvalue at -1 and no principal log
 LOG_MIN_GAP = 1e-8
+
+# Bytes a loop step costs at the transport's peak, per m^2 and fixed: the
+# tracemalloc peak of `parallel_transport` on a polygon, m = 1 to 8 at 2^14
+# and 2^16 steps (a circle's is about 60 bytes a step less).  A loop whose
+# steps need more than the physical memory is refused before any step
+# array is built: overcommit would grant the arrays and the kernel would
+# kill the process when it touched them.
+_STEP_BYTES_PER_M2 = 128
+_STEP_BYTES_FIXED = 160
 
 # Largest m whose step stacks `_stack_matmul` multiplies entry by entry.
 # numpy's stacked matmul pays about 0.4 us per matrix whatever m is; the
@@ -109,6 +119,10 @@ class LoopPath:
     closed: bool = True
     pieces: int = 1
 
+    @property
+    def _piece_steps(self) -> int:
+        return max(1, round(self.samples / self.pieces))
+
     def gauss_steps(self) -> Tuple[np.ndarray, np.ndarray]:
         """Step lengths h, shape (steps,), and the two Gauss-Legendre nodes
         t_mid -+ h/(2 sqrt 3) of every step, shape (steps, 2).
@@ -116,12 +130,21 @@ class LoopPath:
         Every piece [k/pieces, (k+1)/pieces] gets max(1, round(samples /
         pieces)) equal steps, so every node lies strictly inside its piece.
         """
-        n = max(1, round(self.samples / self.pieces))
+        n = self._piece_steps
         ends = np.arange(self.pieces + 1) / self.pieces
         h = np.repeat(np.diff(ends) / n, n)
         mid = np.repeat(ends[:-1], n) + np.tile(np.arange(n) + 0.5, self.pieces) * h
         off = h / (2.0 * math.sqrt(3.0))
         return h, np.stack([mid - off, mid + off], axis=1)
+
+
+def _physical_memory() -> Optional[int]:
+    """Bytes of physical memory, or None where the platform does not say."""
+    try:
+        memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return memory if memory > 0 else None
 
 
 def loop_one_form(loop: LoopPath, m: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -130,11 +153,22 @@ def loop_one_form(loop: LoopPath, m: int) -> Tuple[np.ndarray, np.ndarray, np.nd
     connection: step lengths h, shape (steps,), the contracted one-form
     A(gamma'), shape (2, m, m, *batch, steps), and |gamma'|, shape
     (*batch, steps, 2).  Every loop integral sums over these nodes.
+    Raises MemoryError, naming the bytes, before any step array is built
+    when the steps of one loop of the batch need more than the physical
+    memory (`_STEP_BYTES_PER_M2`).
 
     The array is laid out as `_stack_matmul` reads it: up to
     ELEMENTWISE_MAX_M a contiguous copy with the steps last, above it a
     view of the contraction in which every step's matrix is contiguous.
     """
+    steps = loop.pieces * loop._piece_steps
+    need = steps * (_STEP_BYTES_PER_M2 * m * m + _STEP_BYTES_FIXED)
+    memory = _physical_memory()
+    if memory is not None and need > memory:
+        raise MemoryError(
+            f"Unable to allocate {need} bytes for {steps} loop steps at m = {m}: "
+            f"more than the {memory} bytes of physical memory"
+        )
     h, nodes = loop.gauss_steps()
     point, velocity = loop.at(nodes)
     cm = connection_closed(point, m)

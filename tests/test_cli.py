@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from berry_holonomy import cli
+from berry_holonomy import cli, holonomy
 from berry_holonomy.cli import (
     ConfigError,
     build_config,
@@ -381,12 +381,18 @@ def test_log_failure_exit_code(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("numerical failure: matrix logarithm")
 
 
-def run_python(*args):
-    """A fresh interpreter on the package's source tree, warnings as errors."""
+def run_python(*args, **env_vars):
+    """A fresh interpreter on the package's source tree, warnings as errors;
+    each keyword sets an environment variable, or unsets it when None."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ)
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     env["PYTHONWARNINGS"] = "error"
+    for name, value in env_vars.items():
+        if value is None:
+            env.pop(name, None)
+        else:
+            env[name] = value
     return subprocess.run(
         [sys.executable, *args], capture_output=True, text=True, timeout=60, env=env
     )
@@ -417,6 +423,41 @@ def test_module_entry_point_irreducibility():
         "u_m_dim",
         "version",
     }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--m", "2", "--grid", "small"],
+        ["holonomy", "--m", "3", "--mu", "2", "--samples", "512"],
+        ["irreducibility", "--m", "3"],
+    ],
+)
+def test_blas_threads_never_change_payload(argv):
+    """One OpenBLAS thread or OpenBLAS's default count: the payload, all of
+    the document after `meta`, is the same bytes."""
+    payloads = []
+    for threads in ("1", None):
+        proc = run_python("-m", "berry_holonomy.cli", *argv, OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith('{"meta":')
+        payloads.append(proc.stdout[proc.stdout.index(',"payload":') :])
+    assert payloads[0] == payloads[1]
+
+
+def test_holonomy_beyond_physical_memory_exit_code(monkeypatch, tmp_path, capsys):
+    """A loop whose transport needs more than the physical memory exits 2
+    with the bytes named, before any step array is built; the memory figure
+    is patched, so nothing large is allocated."""
+    need = 4096 * (holonomy._STEP_BYTES_PER_M2 * 4 + holonomy._STEP_BYTES_FIXED)
+    monkeypatch.setattr(holonomy, "_physical_memory", lambda: need - 1)
+    out = tmp_path / "out"
+    assert main(["holonomy", "--m", "2", "--samples", "4096", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"configuration error: Unable to allocate {need} bytes for 4096 loop steps")
+    assert not out.exists()
+    monkeypatch.setattr(holonomy, "_physical_memory", lambda: need)
+    assert main(["holonomy", "--m", "2", "--samples", "4096", "--out", str(out)]) == 0
 
 
 @pytest.mark.parametrize("command", ["connection", "curvature"])

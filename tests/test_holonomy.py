@@ -247,6 +247,33 @@ def test_parallel_transport_evaluates_its_loop_once(batch, monkeypatch):
     assert calls == ["gauss_steps", "at"]
 
 
+@pytest.mark.parametrize("samples, pieces, m", [(10**9, 1, 2), (297, 6, 5), (4096, 1, 1)])
+def test_loop_beyond_physical_memory_is_refused_before_its_steps(samples, pieces, m, monkeypatch):
+    """`loop_one_form` compares the transport's bytes for the steps
+    `gauss_steps` would take with the physical memory and raises MemoryError
+    naming them before it calls `gauss_steps` or `at`; one byte more memory
+    lets it through to `gauss_steps`."""
+    steps = pieces * max(1, round(samples / pieces))
+    need = steps * (holonomy._STEP_BYTES_PER_M2 * m * m + holonomy._STEP_BYTES_FIXED)
+
+    def no_steps(self):
+        raise AssertionError("gauss_steps called")
+
+    monkeypatch.setattr(LoopPath, "gauss_steps", no_steps)
+    loop = LoopPath(at=None, samples=samples, pieces=pieces)
+    monkeypatch.setattr(holonomy, "_physical_memory", lambda: need - 1)
+    with pytest.raises(MemoryError, match=f"Unable to allocate {need} bytes for {steps} loop steps"):
+        loop_one_form(loop, m)
+    monkeypatch.setattr(holonomy, "_physical_memory", lambda: need)
+    with pytest.raises(AssertionError, match="gauss_steps called"):
+        loop_one_form(loop, m)
+
+
+def test_physical_memory_is_positive_or_unknown():
+    memory = holonomy._physical_memory()
+    assert memory is None or (isinstance(memory, int) and memory > 0)
+
+
 def test_small_loop_ratio():
     residual, half_residual, ratio = small_loop_check(CENTERS[0], "lmb", 2e-3, 2)
     assert 6.0 <= ratio <= 10.0
